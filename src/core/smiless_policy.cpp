@@ -261,9 +261,15 @@ void SmilessPolicy::maybe_train() {
   }
   trained_ = true;
   last_train_size_ = count_history_.size();
+  it_memo_size_.reset();
+  count_memo_.reset();
 }
 
 void SmilessPolicy::predict(const apps::App&) {
+  // Every branch reads only ia_history_ and ia_aux_history_, which grow
+  // together and only on arrivals: an unchanged size means unchanged inputs.
+  if (it_memo_size_ == ia_history_.size()) return;
+  it_memo_size_ = ia_history_.size();
   if (trained_ && it_predictor_ != nullptr) {
     it_predicted_ = it_predictor_->predict_next(ia_history_, ia_aux_history_);
   } else if (trained_ && it_predictor_single_ != nullptr) {
@@ -278,6 +284,17 @@ void SmilessPolicy::predict(const apps::App&) {
     it_predicted_ = options_.default_interarrival;
   }
   it_predicted_ = std::max(it_predicted_, kMinInterarrival);
+}
+
+int SmilessPolicy::predict_count() {
+  // The classifier reads only this tail of the count history.
+  std::vector<double> tail =
+      predictor::padded_tail(count_history_, count_predictor_->options().lstm.seq_len);
+  if (!count_memo_ || tail != count_memo_tail_) {
+    count_memo_ = count_predictor_->predict_next(count_history_);
+    count_memo_tail_ = std::move(tail);
+  }
+  return static_cast<int>(std::ceil(*count_memo_));
 }
 
 void SmilessPolicy::autoscale(const apps::App& spec, serverless::PlatformView& platform,
@@ -407,7 +424,7 @@ void SmilessPolicy::on_window(serverless::AppId app, const apps::App& spec,
       ++i;
     }
   } else if (trained_ && count_predictor_ != nullptr) {
-    predicted_count = static_cast<int>(std::ceil(count_predictor_->predict_next(count_history_)));
+    predicted_count = predict_count();
   } else {
     predicted_count = stats.arrivals;  // persistence until the LSTM trains
   }

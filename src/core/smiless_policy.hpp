@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,10 +53,8 @@ struct SmilessOptions {
   /// figures imply similar headroom via the mu+3sigma init estimates).
   double sla_margin = 0.78;
 
-  /// Burst-scaling hysteresis: re-solve the autoscaler only when the
-  /// predicted count moves by this relative amount, and fall back to the
-  /// base plans only after `burst_cooldown` consecutive calm windows.
-  double burst_resolve_threshold = 0.3;
+  /// Burst-scaling hysteresis: fall back to the base plans only after this
+  /// many consecutive calm windows.
   int burst_cooldown = 3;
 
   /// Fold instance initialization time into the Auto-scaler's Eq. (7)
@@ -111,6 +110,7 @@ class SmilessPolicy : public serverless::Policy {
   void apply_plans(serverless::PlatformView& platform);
   void maybe_train();
   void predict(const apps::App& spec);
+  int predict_count();
   void update_gap_discount();
   void autoscale(const apps::App& spec, serverless::PlatformView& platform, int predicted_count,
                  double window);
@@ -147,6 +147,12 @@ class SmilessPolicy : public serverless::Policy {
   std::unique_ptr<predictor::LstmRegressor> it_predictor_single_;
   bool trained_ = false;
   std::size_t last_train_size_ = 0;  ///< history length at the last (re)training
+
+  // Input-unchanged reuse (DESIGN.md §17): a prediction is recomputed only
+  // when its inputs changed or the predictors were refit.
+  std::optional<std::size_t> it_memo_size_;  ///< ia_history_ size it_predicted_ is from
+  std::optional<double> count_memo_;         ///< last count-classifier output
+  std::vector<double> count_memo_tail_;      ///< the classifier input it came from
 
   // Oracle (OPT).
   std::vector<SimTime> oracle_;

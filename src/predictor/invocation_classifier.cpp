@@ -35,24 +35,20 @@ struct InvocationClassifier::Impl {
     return std::min(b, classes - 1);
   }
 
-  std::vector<std::vector<double>> window(std::span<const double> s, std::size_t start) const {
-    std::vector<std::vector<double>> seq(opts.lstm.seq_len);
-    for (std::size_t i = 0; i < opts.lstm.seq_len; ++i)
-      seq[i] = {(s[start + i] - norm_mean) / norm_std};
-    return seq;
-  }
+  double normalize(double count) const { return (count - norm_mean) / norm_std; }
 
-  std::vector<double> logits(const std::vector<double>& h) const {
-    std::vector<double> z(classes, 0.0);
+  /// Class logits of hidden state `h` into `z`.
+  void logits(std::span<const double> h, std::vector<double>& z) const {
+    z.resize(static_cast<std::size_t>(classes));
     for (int k = 0; k < classes; ++k) {
+      const double* w = head_w.data() + static_cast<std::size_t>(k) * head_w.cols();
       double acc = head_b[k];
-      for (std::size_t j = 0; j < h.size(); ++j) acc += head_w(k, j) * h[j];
+      for (std::size_t j = 0; j < h.size(); ++j) acc += w[j] * h[j];
       z[k] = acc;
     }
-    return z;
   }
 
-  static std::vector<double> softmax(std::vector<double> z) {
+  static void softmax(std::vector<double>& z) {
     const double m = *std::max_element(z.begin(), z.end());
     double sum = 0.0;
     for (auto& v : z) {
@@ -60,7 +56,6 @@ struct InvocationClassifier::Impl {
       sum += v;
     }
     for (auto& v : z) v /= sum;
-    return z;
   }
 
   void train(std::span<const double> counts) {
@@ -86,27 +81,31 @@ struct InvocationClassifier::Impl {
     for (int k = 0; k < classes; ++k) params.push_back(&head_b[k]);
     Adam adam(params.size(), opts.lstm.learning_rate);
 
+    const std::size_t hidden = opts.lstm.hidden;
+    std::vector<double> seq(opts.lstm.seq_len), p, dh(hidden), flat;
+    std::vector<double> dz(static_cast<std::size_t>(classes));
+    flat.reserve(params.size());
     for (int epoch = 0; epoch < opts.lstm.epochs; ++epoch) {
       std::shuffle(starts.begin(), starts.end(), rng.engine());
       for (std::size_t start : starts) {
-        const auto h = lstm.forward(window(counts, start));
-        const auto p = softmax(logits(h));
+        for (std::size_t i = 0; i < seq.size(); ++i) seq[i] = normalize(counts[start + i]);
+        const auto h = lstm.forward(seq);
+        logits(h, p);
+        softmax(p);
         const int target = bucket_of(counts[start + opts.lstm.seq_len]);
 
         // Cross-entropy gradient dz_k = p_k - [k == target].
-        std::vector<double> dz(classes);
         for (int k = 0; k < classes; ++k) dz[k] = p[k] - (k == target ? 1.0 : 0.0);
 
-        std::vector<double> dh(opts.lstm.hidden, 0.0);
+        std::fill(dh.begin(), dh.end(), 0.0);
+        for (int k = 0; k < classes; ++k) {
+          const double* w = head_w.data() + static_cast<std::size_t>(k) * hidden;
+          for (std::size_t j = 0; j < hidden; ++j) dh[j] += w[j] * dz[k];
+        }
+        flat.clear();
+        LstmLayer::accumulate(flat, lstm.backward(dh));
         for (int k = 0; k < classes; ++k)
-          for (std::size_t j = 0; j < dh.size(); ++j) dh[j] += head_w(k, j) * dz[k];
-        const LstmGrads grads = lstm.backward(dh);
-
-        std::vector<double> flat;
-        flat.reserve(params.size());
-        LstmLayer::accumulate(flat, grads);
-        for (int k = 0; k < classes; ++k)
-          for (std::size_t j = 0; j < head_w.cols(); ++j) flat.push_back(dz[k] * h[j]);
+          for (std::size_t j = 0; j < hidden; ++j) flat.push_back(dz[k] * h[j]);
         for (int k = 0; k < classes; ++k) flat.push_back(dz[k]);
         adam.step(params, flat);
       }
@@ -116,16 +115,10 @@ struct InvocationClassifier::Impl {
 
   int classify(std::span<const double> recent) const {
     if (!trained || recent.empty()) return 0;
-    std::vector<double> tail(opts.lstm.seq_len);
-    for (std::size_t i = 0; i < opts.lstm.seq_len; ++i) {
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(recent.size()) -
-                                 static_cast<std::ptrdiff_t>(opts.lstm.seq_len) +
-                                 static_cast<std::ptrdiff_t>(i);
-      tail[i] = idx >= 0 ? recent[static_cast<std::size_t>(idx)] : recent.front();
-    }
-    auto* self = const_cast<Impl*>(this);
-    const auto h = self->lstm.forward(self->window(tail, 0));
-    const auto z = logits(h);
+    std::vector<double> seq = padded_tail(recent, opts.lstm.seq_len);
+    for (double& v : seq) v = normalize(v);
+    std::vector<double> z;
+    logits(lstm.infer(seq), z);
     return static_cast<int>(std::max_element(z.begin(), z.end()) - z.begin());
   }
 };

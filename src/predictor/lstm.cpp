@@ -1,5 +1,6 @@
 #include "predictor/lstm.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace smiless::predictor {
@@ -11,139 +12,206 @@ double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 LstmLayer::LstmLayer(std::size_t input_dim, std::size_t hidden_dim, Rng& rng)
     : input_dim_(input_dim),
       hidden_dim_(hidden_dim),
-      wx_(4 * hidden_dim, input_dim),
-      wh_(4 * hidden_dim, hidden_dim),
-      b_(4 * hidden_dim, 0.0) {
+      wx_(4 * hidden_dim * input_dim, 0.0),
+      wh_(4 * hidden_dim * hidden_dim, 0.0),
+      b_(4 * hidden_dim, 0.0),
+      grads_{math::Matrix(4 * hidden_dim, input_dim), math::Matrix(4 * hidden_dim, hidden_dim),
+             std::vector<double>(4 * hidden_dim, 0.0)},
+      dz_(4 * hidden_dim),
+      dh_(hidden_dim),
+      dc_(hidden_dim),
+      dh_prev_(hidden_dim),
+      dc_prev_(hidden_dim) {
   SMILESS_CHECK(input_dim >= 1 && hidden_dim >= 1);
   // Xavier-ish init; forget-gate bias starts positive so early training
   // retains state.
   const double sx = 1.0 / std::sqrt(static_cast<double>(input_dim));
   const double sh = 1.0 / std::sqrt(static_cast<double>(hidden_dim));
   for (std::size_t r = 0; r < 4 * hidden_dim; ++r) {
-    for (std::size_t c = 0; c < input_dim; ++c) wx_(r, c) = rng.uniform(-sx, sx);
-    for (std::size_t c = 0; c < hidden_dim; ++c) wh_(r, c) = rng.uniform(-sh, sh);
+    for (std::size_t c = 0; c < input_dim; ++c) wx(r, c) = rng.uniform(-sx, sx);
+    for (std::size_t c = 0; c < hidden_dim; ++c) wh(r, c) = rng.uniform(-sh, sh);
   }
   for (std::size_t h = hidden_dim; h < 2 * hidden_dim; ++h) b_[h] = 1.0;
 }
 
-std::vector<double> LstmLayer::forward(const std::vector<std::vector<double>>& sequence) {
+double& LstmLayer::wx(std::size_t r, std::size_t c) {
+  SMILESS_CHECK(r < 4 * hidden_dim_ && c < input_dim_);
+  return wx_[c * 4 * hidden_dim_ + r];
+}
+
+double& LstmLayer::wh(std::size_t r, std::size_t c) {
+  SMILESS_CHECK(r < 4 * hidden_dim_ && c < hidden_dim_);
+  return wh_[c * 4 * hidden_dim_ + r];
+}
+
+std::size_t LstmLayer::check_sequence(std::span<const double> sequence) const {
   SMILESS_CHECK(!sequence.empty());
+  SMILESS_CHECK(sequence.size() % input_dim_ == 0);
+  return sequence.size() / input_dim_;
+}
+
+void LstmLayer::step(const double* x, const double* h_prev, const double* c_prev, double* gates,
+                     double* c, double* tanh_c, double* h) const {
   const std::size_t h_dim = hidden_dim_;
-  cache_.clear();
-  cache_.reserve(sequence.size());
-  h0_.assign(h_dim, 0.0);
-  c0_.assign(h_dim, 0.0);
-
-  std::vector<double> h = h0_, c = c0_;
-  for (const auto& x : sequence) {
-    SMILESS_CHECK(x.size() == input_dim_);
-    StepCache sc;
-    sc.x = x;
-
-    std::vector<double> z(4 * h_dim, 0.0);
-    for (std::size_t r = 0; r < 4 * h_dim; ++r) {
-      double acc = b_[r];
-      for (std::size_t cidx = 0; cidx < input_dim_; ++cidx) acc += wx_(r, cidx) * x[cidx];
-      for (std::size_t cidx = 0; cidx < h_dim; ++cidx) acc += wh_(r, cidx) * h[cidx];
-      z[r] = acc;
-    }
-    sc.i.resize(h_dim);
-    sc.f.resize(h_dim);
-    sc.g.resize(h_dim);
-    sc.o.resize(h_dim);
-    sc.c.resize(h_dim);
-    sc.h.resize(h_dim);
-    sc.tanh_c.resize(h_dim);
-    for (std::size_t j = 0; j < h_dim; ++j) {
-      sc.i[j] = sigmoid(z[j]);
-      sc.f[j] = sigmoid(z[h_dim + j]);
-      sc.g[j] = std::tanh(z[2 * h_dim + j]);
-      sc.o[j] = sigmoid(z[3 * h_dim + j]);
-      sc.c[j] = sc.f[j] * c[j] + sc.i[j] * sc.g[j];
-      sc.tanh_c[j] = std::tanh(sc.c[j]);
-      sc.h[j] = sc.o[j] * sc.tanh_c[j];
-    }
-    h = sc.h;
-    c = sc.c;
-    cache_.push_back(std::move(sc));
+  const std::size_t rows = 4 * h_dim;
+  // Row r accumulates b[r], then wx(r, 0..D) * x, then wh(r, 0..H) * h_prev,
+  // in that order: the loops run down columns, but no row's sum is
+  // reassociated.
+  std::copy(b_.begin(), b_.end(), gates);
+  for (std::size_t k = 0; k < input_dim_; ++k) {
+    const double* col = wx_.data() + k * rows;
+    const double xk = x[k];
+    for (std::size_t r = 0; r < rows; ++r) gates[r] += col[r] * xk;
   }
+  for (std::size_t k = 0; k < h_dim; ++k) {
+    const double* col = wh_.data() + k * rows;
+    const double hk = h_prev[k];
+    for (std::size_t r = 0; r < rows; ++r) gates[r] += col[r] * hk;
+  }
+  for (std::size_t j = 0; j < h_dim; ++j) {
+    const double i = sigmoid(gates[j]);
+    const double f = sigmoid(gates[h_dim + j]);
+    const double g = std::tanh(gates[2 * h_dim + j]);
+    const double o = sigmoid(gates[3 * h_dim + j]);
+    gates[j] = i;
+    gates[h_dim + j] = f;
+    gates[2 * h_dim + j] = g;
+    gates[3 * h_dim + j] = o;
+    c[j] = f * c_prev[j] + i * g;
+    tanh_c[j] = std::tanh(c[j]);
+    h[j] = o * tanh_c[j];
+  }
+}
+
+std::span<const double> LstmLayer::forward(std::span<const double> sequence) {
+  const std::size_t steps = check_sequence(sequence);
+  const std::size_t h_dim = hidden_dim_;
+  steps_ = steps;
+  x_.assign(sequence.begin(), sequence.end());
+  gates_.resize(steps * 4 * h_dim);
+  tanh_c_.resize(steps * h_dim);
+  h_.resize((steps + 1) * h_dim);
+  c_.resize((steps + 1) * h_dim);
+  std::fill_n(h_.begin(), h_dim, 0.0);
+  std::fill_n(c_.begin(), h_dim, 0.0);
+  for (std::size_t t = 0; t < steps; ++t) {
+    step(x_.data() + t * input_dim_, h_.data() + t * h_dim, c_.data() + t * h_dim,
+         gates_.data() + t * 4 * h_dim, c_.data() + (t + 1) * h_dim,
+         tanh_c_.data() + t * h_dim, h_.data() + (t + 1) * h_dim);
+  }
+  return {h_.data() + steps * h_dim, h_dim};
+}
+
+std::vector<double> LstmLayer::infer(std::span<const double> sequence) const {
+  const std::size_t steps = check_sequence(sequence);
+  const std::size_t h_dim = hidden_dim_;
+  std::vector<double> h(h_dim, 0.0);
+  std::vector<double> scratch(6 * h_dim, 0.0);  // gates (4H), c, tanh(c)
+  double* gates = scratch.data();
+  double* c = gates + 4 * h_dim;
+  double* tanh_c = c + h_dim;
+  for (std::size_t t = 0; t < steps; ++t)
+    step(sequence.data() + t * input_dim_, h.data(), c, gates, c, tanh_c, h.data());
   return h;
 }
 
-LstmGrads LstmLayer::backward(const std::vector<double>& d_h_final) const {
-  SMILESS_CHECK_MSG(!cache_.empty(), "backward() before forward()");
+const LstmGrads& LstmLayer::backward(std::span<const double> d_h_final) {
+  SMILESS_CHECK_MSG(steps_ > 0, "backward() before forward()");
   SMILESS_CHECK(d_h_final.size() == hidden_dim_);
   const std::size_t h_dim = hidden_dim_;
+  const std::size_t d_dim = input_dim_;
+  const std::size_t rows = 4 * h_dim;
 
-  LstmGrads g;
-  g.d_wx = math::Matrix(4 * h_dim, input_dim_);
-  g.d_wh = math::Matrix(4 * h_dim, h_dim);
-  g.d_b.assign(4 * h_dim, 0.0);
+  double* d_wx = grads_.d_wx.data();
+  double* d_wh = grads_.d_wh.data();
+  double* d_b = grads_.d_b.data();
+  std::fill_n(d_wx, rows * d_dim, 0.0);
+  std::fill_n(d_wh, rows * h_dim, 0.0);
+  std::fill_n(d_b, rows, 0.0);
+  std::copy(d_h_final.begin(), d_h_final.end(), dh_.begin());
+  std::fill(dc_.begin(), dc_.end(), 0.0);
+  double* dz = dz_.data();
 
-  std::vector<double> dh = d_h_final;
-  std::vector<double> dc(h_dim, 0.0);
+  for (std::size_t t = steps_; t-- > 0;) {
+    const double* i = gates_.data() + t * rows;
+    const double* f = i + h_dim;
+    const double* g = f + h_dim;
+    const double* o = g + h_dim;
+    const double* tanh_c = tanh_c_.data() + t * h_dim;
+    const double* x = x_.data() + t * d_dim;
+    const double* h_prev = h_.data() + t * h_dim;
+    const double* c_prev = c_.data() + t * h_dim;
+    const double* dh = dh_.data();
+    const double* dc = dc_.data();
+    double* dc_prev = dc_prev_.data();
 
-  for (std::size_t t = cache_.size(); t-- > 0;) {
-    const StepCache& sc = cache_[t];
-    const std::vector<double>& h_prev = t == 0 ? h0_ : cache_[t - 1].h;
-    const std::vector<double>& c_prev = t == 0 ? c0_ : cache_[t - 1].c;
-
-    std::vector<double> dz(4 * h_dim, 0.0);
-    std::vector<double> dc_prev(h_dim, 0.0);
     for (std::size_t j = 0; j < h_dim; ++j) {
-      const double d_o = dh[j] * sc.tanh_c[j];
-      const double dc_total = dc[j] + dh[j] * sc.o[j] * (1.0 - sc.tanh_c[j] * sc.tanh_c[j]);
-      const double d_i = dc_total * sc.g[j];
+      const double d_o = dh[j] * tanh_c[j];
+      const double dc_total = dc[j] + dh[j] * o[j] * (1.0 - tanh_c[j] * tanh_c[j]);
+      const double d_i = dc_total * g[j];
       const double d_f = dc_total * c_prev[j];
-      const double d_g = dc_total * sc.i[j];
-      dz[j] = d_i * sc.i[j] * (1.0 - sc.i[j]);
-      dz[h_dim + j] = d_f * sc.f[j] * (1.0 - sc.f[j]);
-      dz[2 * h_dim + j] = d_g * (1.0 - sc.g[j] * sc.g[j]);
-      dz[3 * h_dim + j] = d_o * sc.o[j] * (1.0 - sc.o[j]);
-      dc_prev[j] = dc_total * sc.f[j];
+      const double d_g = dc_total * i[j];
+      dz[j] = d_i * i[j] * (1.0 - i[j]);
+      dz[h_dim + j] = d_f * f[j] * (1.0 - f[j]);
+      dz[2 * h_dim + j] = d_g * (1.0 - g[j] * g[j]);
+      dz[3 * h_dim + j] = d_o * o[j] * (1.0 - o[j]);
+      dc_prev[j] = dc_total * f[j];
     }
 
-    for (std::size_t r = 0; r < 4 * h_dim; ++r) {
-      if (dz[r] == 0.0) continue;
-      for (std::size_t cidx = 0; cidx < input_dim_; ++cidx)
-        g.d_wx(r, cidx) += dz[r] * sc.x[cidx];
-      for (std::size_t cidx = 0; cidx < h_dim; ++cidx)
-        g.d_wh(r, cidx) += dz[r] * h_prev[cidx];
-      g.d_b[r] += dz[r];
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double dzr = dz[r];
+      if (dzr == 0.0) continue;
+      double* wx_row = d_wx + r * d_dim;
+      double* wh_row = d_wh + r * h_dim;
+      for (std::size_t k = 0; k < d_dim; ++k) wx_row[k] += dzr * x[k];
+      for (std::size_t k = 0; k < h_dim; ++k) wh_row[k] += dzr * h_prev[k];
+      d_b[r] += dzr;
     }
 
-    std::vector<double> dh_prev(h_dim, 0.0);
-    for (std::size_t r = 0; r < 4 * h_dim; ++r) {
-      if (dz[r] == 0.0) continue;
-      for (std::size_t cidx = 0; cidx < h_dim; ++cidx) dh_prev[cidx] += wh_(r, cidx) * dz[r];
+    double* dh_prev = dh_prev_.data();
+    std::fill_n(dh_prev, h_dim, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double dzr = dz[r];
+      if (dzr == 0.0) continue;
+      for (std::size_t k = 0; k < h_dim; ++k) dh_prev[k] += wh_[k * rows + r] * dzr;
     }
-    dh = std::move(dh_prev);
-    dc = std::move(dc_prev);
+    std::swap(dh_, dh_prev_);
+    std::swap(dc_, dc_prev_);
   }
-  return g;
+  return grads_;
 }
 
 std::vector<double*> LstmLayer::parameters() {
   std::vector<double*> out;
   out.reserve(parameter_count());
   for (std::size_t r = 0; r < 4 * hidden_dim_; ++r)
-    for (std::size_t c = 0; c < input_dim_; ++c) out.push_back(&wx_(r, c));
+    for (std::size_t c = 0; c < input_dim_; ++c) out.push_back(&wx(r, c));
   for (std::size_t r = 0; r < 4 * hidden_dim_; ++r)
-    for (std::size_t c = 0; c < hidden_dim_; ++c) out.push_back(&wh_(r, c));
+    for (std::size_t c = 0; c < hidden_dim_; ++c) out.push_back(&wh(r, c));
   for (auto& v : b_) out.push_back(&v);
   return out;
 }
 
 void LstmLayer::accumulate(std::vector<double>& flat, const LstmGrads& grads) {
-  for (std::size_t r = 0; r < grads.d_wx.rows(); ++r)
-    for (std::size_t c = 0; c < grads.d_wx.cols(); ++c) flat.push_back(grads.d_wx(r, c));
-  for (std::size_t r = 0; r < grads.d_wh.rows(); ++r)
-    for (std::size_t c = 0; c < grads.d_wh.cols(); ++c) flat.push_back(grads.d_wh(r, c));
-  for (double v : grads.d_b) flat.push_back(v);
+  const auto append = [&flat](const math::Matrix& m) {
+    flat.insert(flat.end(), m.data(), m.data() + m.rows() * m.cols());
+  };
+  append(grads.d_wx);
+  append(grads.d_wh);
+  flat.insert(flat.end(), grads.d_b.begin(), grads.d_b.end());
 }
 
 std::size_t LstmLayer::parameter_count() const {
   return 4 * hidden_dim_ * (input_dim_ + hidden_dim_ + 1);
+}
+
+std::vector<double> padded_tail(std::span<const double> series, std::size_t len) {
+  SMILESS_CHECK(!series.empty());
+  std::vector<double> tail(len, series.front());
+  const std::size_t n = std::min(len, series.size());
+  std::copy(series.end() - static_cast<std::ptrdiff_t>(n), series.end(),
+            tail.end() - static_cast<std::ptrdiff_t>(n));
+  return tail;
 }
 
 Adam::Adam(std::size_t n, double lr, double beta1, double beta2, double eps)

@@ -29,10 +29,17 @@ void make_pairs(std::span<const double> s, std::size_t len,
   for (std::size_t t = len; t < s.size(); ++t) starts.push_back(t - len);
 }
 
-std::vector<std::vector<double>> window_of(std::span<const double> s, std::size_t start,
-                                           std::size_t len, const Norm& norm) {
-  std::vector<std::vector<double>> seq(len);
-  for (std::size_t i = 0; i < len; ++i) seq[i] = {norm.fwd(s[start + i])};
+/// Normalise s[start, start + seq.size()) into `seq`.
+void fill_window(std::span<const double> s, std::size_t start, const Norm& norm,
+                 std::vector<double>& seq) {
+  for (std::size_t i = 0; i < seq.size(); ++i) seq[i] = norm.fwd(s[start + i]);
+}
+
+/// The normalised input window of a prediction from `recent`.
+std::vector<double> predict_window(std::span<const double> recent, std::size_t len,
+                                   const Norm& norm) {
+  std::vector<double> seq = padded_tail(recent, len);
+  for (double& v : seq) v = norm.fwd(v);
   return seq;
 }
 
@@ -56,8 +63,7 @@ struct LstmRegressor::Impl {
     for (auto& w : head_w) w = rng.uniform(-0.3, 0.3);
   }
 
-  double forward_window(std::span<const double> s, std::size_t start) {
-    const auto h = lstm.forward(window_of(s, start, opts.seq_len, norm));
+  double head(std::span<const double> h) const {
     double y = head_b;
     for (std::size_t j = 0; j < head_w.size(); ++j) y += head_w[j] * h[j];
     return y;
@@ -77,25 +83,22 @@ struct LstmRegressor::Impl {
     params.push_back(&head_b);
     Adam adam(params.size(), opts.learning_rate);
 
+    std::vector<double> seq(opts.seq_len), dh(opts.hidden), flat;
+    flat.reserve(params.size());
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
       std::shuffle(starts.begin(), starts.end(), rng.engine());
       for (std::size_t start : starts) {
-        const auto seq = window_of(series, start, opts.seq_len, norm);
+        fill_window(series, start, norm, seq);
         const auto h = lstm.forward(seq);
-        double y = head_b;
-        for (std::size_t j = 0; j < head_w.size(); ++j) y += head_w[j] * h[j];
+        const double y = head(h);
         const double target = norm.fwd(series[start + opts.seq_len]);
         const double err = y - target;
         const double w = err > 0.0 ? opts.over_weight : opts.under_weight;
         const double dy = 2.0 * w * err;
 
-        std::vector<double> dh(opts.hidden);
         for (std::size_t j = 0; j < opts.hidden; ++j) dh[j] = dy * head_w[j];
-        const LstmGrads grads = lstm.backward(dh);
-
-        std::vector<double> flat;
-        flat.reserve(params.size());
-        LstmLayer::accumulate(flat, grads);
+        flat.clear();
+        LstmLayer::accumulate(flat, lstm.backward(dh));
         for (std::size_t j = 0; j < opts.hidden; ++j) flat.push_back(dy * h[j]);
         flat.push_back(dy);
         adam.step(params, flat);
@@ -112,15 +115,8 @@ void LstmRegressor::fit(std::span<const double> series) { impl_->train(series); 
 
 double LstmRegressor::predict_next(std::span<const double> recent) const {
   if (!impl_->trained || recent.empty()) return recent.empty() ? 0.0 : recent.back();
-  const std::size_t len = impl_->opts.seq_len;
-  // Pad on the left with the first value when history is short.
-  std::vector<double> tail(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(recent.size()) -
-                               static_cast<std::ptrdiff_t>(len) + static_cast<std::ptrdiff_t>(i);
-    tail[i] = idx >= 0 ? recent[static_cast<std::size_t>(idx)] : recent.front();
-  }
-  const double z = impl_->forward_window(tail, 0);
+  const auto seq = predict_window(recent, impl_->opts.seq_len, impl_->norm);
+  const double z = impl_->head(impl_->lstm.infer(seq));
   return std::max(0.0, impl_->norm.inv(z));
 }
 
@@ -147,18 +143,17 @@ struct DualLstmRegressor::Impl {
     for (auto& w : head_w) w = rng.uniform(-0.3, 0.3);
   }
 
-  double forward(const std::vector<std::vector<double>>& sa,
-                 const std::vector<std::vector<double>>& sb, std::vector<double>* merged_out) {
-    const auto ha = lstm_a.forward(sa);
-    const auto hb = lstm_b.forward(sb);
-    std::vector<double> merged(2 * opts.hidden);
+  /// Merge the branches' final hidden states through tanh into `merged`
+  /// and apply the linear head.
+  double head(std::span<const double> ha, std::span<const double> hb,
+              std::vector<double>& merged) const {
+    merged.resize(2 * opts.hidden);
     for (std::size_t j = 0; j < opts.hidden; ++j) {
       merged[j] = std::tanh(ha[j]);
       merged[opts.hidden + j] = std::tanh(hb[j]);
     }
     double y = head_b;
     for (std::size_t j = 0; j < merged.size(); ++j) y += head_w[j] * merged[j];
-    if (merged_out) *merged_out = std::move(merged);
     return y;
   }
 
@@ -179,32 +174,29 @@ struct DualLstmRegressor::Impl {
     params.push_back(&head_b);
     Adam adam(params.size(), opts.learning_rate);
 
+    std::vector<double> sa(opts.seq_len), sb(opts.seq_len), merged;
+    std::vector<double> dha(opts.hidden), dhb(opts.hidden), flat;
+    flat.reserve(params.size());
     for (int epoch = 0; epoch < opts.epochs; ++epoch) {
       std::shuffle(starts.begin(), starts.end(), rng.engine());
       for (std::size_t start : starts) {
-        const auto sa = window_of(a, start, opts.seq_len, norm_a);
-        const auto sb = window_of(b, start, opts.seq_len, norm_b);
-        std::vector<double> merged;
-        const double y = forward(sa, sb, &merged);
+        fill_window(a, start, norm_a, sa);
+        fill_window(b, start, norm_b, sb);
+        const double y = head(lstm_a.forward(sa), lstm_b.forward(sb), merged);
         const double target = norm_a.fwd(a[start + opts.seq_len]);
         const double err = y - target;
         const double w = err > 0.0 ? opts.over_weight : opts.under_weight;
         const double dy = 2.0 * w * err;
 
         // Back through the head and tanh merge into each branch.
-        std::vector<double> dha(opts.hidden), dhb(opts.hidden);
         for (std::size_t j = 0; j < opts.hidden; ++j) {
           dha[j] = dy * head_w[j] * (1.0 - merged[j] * merged[j]);
           dhb[j] = dy * head_w[opts.hidden + j] *
                    (1.0 - merged[opts.hidden + j] * merged[opts.hidden + j]);
         }
-        const LstmGrads ga = lstm_a.backward(dha);
-        const LstmGrads gb = lstm_b.backward(dhb);
-
-        std::vector<double> flat;
-        flat.reserve(params.size());
-        LstmLayer::accumulate(flat, ga);
-        LstmLayer::accumulate(flat, gb);
+        flat.clear();
+        LstmLayer::accumulate(flat, lstm_a.backward(dha));
+        LstmLayer::accumulate(flat, lstm_b.backward(dhb));
         for (std::size_t j = 0; j < merged.size(); ++j) flat.push_back(dy * merged[j]);
         flat.push_back(dy);
         adam.step(params, flat);
@@ -227,25 +219,11 @@ double DualLstmRegressor::predict_next(std::span<const double> recent_primary,
   if (!impl_->trained || recent_primary.empty())
     return recent_primary.empty() ? 0.0 : recent_primary.back();
   const std::size_t len = impl_->opts.seq_len;
-  auto tail_of = [len](std::span<const double> s) {
-    std::vector<double> tail(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(s.size()) -
-                                 static_cast<std::ptrdiff_t>(len) +
-                                 static_cast<std::ptrdiff_t>(i);
-      tail[i] = idx >= 0 ? s[static_cast<std::size_t>(idx)] : s.front();
-    }
-    return tail;
-  };
-  const auto ta = tail_of(recent_primary);
-  const auto tb = tail_of(recent_auxiliary.empty() ? recent_primary : recent_auxiliary);
-
-  std::vector<std::vector<double>> sa(len), sb(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    sa[i] = {impl_->norm_a.fwd(ta[i])};
-    sb[i] = {impl_->norm_b.fwd(tb[i])};
-  }
-  const double z = const_cast<Impl&>(*impl_).forward(sa, sb, nullptr);
+  const auto sa = predict_window(recent_primary, len, impl_->norm_a);
+  const auto sb = predict_window(recent_auxiliary.empty() ? recent_primary : recent_auxiliary,
+                                 len, impl_->norm_b);
+  std::vector<double> merged;
+  const double z = impl_->head(impl_->lstm_a.infer(sa), impl_->lstm_b.infer(sb), merged);
   return std::max(0.0, impl_->norm_a.inv(z));
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "math/stats.hpp"
@@ -27,7 +28,7 @@ std::vector<double> sine_series(std::size_t n, double period, double offset = 2.
 TEST(LstmLayer, ForwardShapeAndDeterminism) {
   Rng r1(1), r2(1);
   LstmLayer a(1, 8, r1), b(1, 8, r2);
-  const std::vector<std::vector<double>> seq{{0.1}, {0.2}, {0.3}};
+  const std::vector<double> seq{0.1, 0.2, 0.3};
   const auto ha = a.forward(seq);
   const auto hb = b.forward(seq);
   ASSERT_EQ(ha.size(), 8u);
@@ -37,7 +38,7 @@ TEST(LstmLayer, ForwardShapeAndDeterminism) {
 TEST(LstmLayer, HiddenStateBounded) {
   Rng rng(2);
   LstmLayer l(1, 16, rng);
-  std::vector<std::vector<double>> seq(50, std::vector<double>{5.0});
+  const std::vector<double> seq(50, 5.0);
   for (double h : l.forward(seq)) {
     EXPECT_LE(std::abs(h), 1.0);  // h = o * tanh(c), both bounded
   }
@@ -46,7 +47,7 @@ TEST(LstmLayer, HiddenStateBounded) {
 TEST(LstmLayer, BackwardMatchesNumericalGradient) {
   Rng rng(3);
   LstmLayer l(1, 4, rng);
-  const std::vector<std::vector<double>> seq{{0.3}, {-0.2}, {0.7}};
+  const std::vector<double> seq{0.3, -0.2, 0.7};
   // Loss = sum of final hidden units; dL/dh = ones.
   const auto h0 = l.forward(seq);
   const std::vector<double> dh(4, 1.0);
@@ -61,7 +62,7 @@ TEST(LstmLayer, BackwardMatchesNumericalGradient) {
     return s;
   };
   for (std::size_t r = 0; r < 3; ++r) {
-    double& w = l.wx()(r, 0);
+    double& w = l.wx(r, 0);
     const double orig = w;
     w = orig + eps;
     const double lp = loss();
@@ -88,6 +89,42 @@ TEST(LstmLayer, ParameterCountConsistent) {
   LstmLayer l(2, 5, rng);
   EXPECT_EQ(l.parameters().size(), l.parameter_count());
   EXPECT_EQ(l.parameter_count(), 4u * 5u * (2u + 5u + 1u));
+}
+
+TEST(LstmLayer, InferMatchesForwardAndLeavesTheCacheAlone) {
+  Rng r1(5), r2(5);
+  LstmLayer a(2, 6, r1), b(2, 6, r2);
+  const std::vector<double> xa{0.4, -0.1, 0.9, 0.3, -0.6, 0.2, 0.0, 1.1, -0.3, 0.5};
+  const std::vector<double> xb{1.5, -2.0, 0.7, 0.7, -0.4, 0.1};
+  const std::vector<double> dh{0.5, -0.25, 1.0, 0.0, -0.75, 0.3};
+
+  // infer() is forward() bit for bit.
+  const auto fa = a.forward(xa);
+  const std::vector<double> ia = b.infer(xa);
+  ASSERT_EQ(ia.size(), fa.size());
+  for (std::size_t j = 0; j < fa.size(); ++j) EXPECT_EQ(ia[j], fa[j]);
+
+  // An infer() between forward() and backward() leaves the BPTT cache alone.
+  const LstmGrads ga = a.backward(dh);
+  b.forward(xa);
+  (void)b.infer(xb);
+  const LstmGrads& gb = b.backward(dh);
+  for (std::size_t r = 0; r < ga.d_wx.rows(); ++r) {
+    for (std::size_t c = 0; c < ga.d_wx.cols(); ++c) EXPECT_EQ(gb.d_wx(r, c), ga.d_wx(r, c));
+    for (std::size_t c = 0; c < ga.d_wh.cols(); ++c) EXPECT_EQ(gb.d_wh(r, c), ga.d_wh(r, c));
+    EXPECT_EQ(gb.d_b[r], ga.d_b[r]);
+  }
+}
+
+TEST(LstmLayer, RejectsMalformedSequencesAndEarlyBackward) {
+  Rng rng(6);
+  LstmLayer l(2, 4, rng);
+  EXPECT_THROW(l.backward(std::vector<double>(4, 1.0)), CheckError);
+  EXPECT_THROW(l.forward(std::vector<double>{}), CheckError);
+  EXPECT_THROW(l.forward(std::vector<double>{0.1, 0.2, 0.3}), CheckError);  // not a multiple of 2
+  EXPECT_THROW((void)l.infer(std::vector<double>{0.1}), CheckError);
+  l.forward(std::vector<double>{0.1, 0.2});
+  EXPECT_THROW(l.backward(std::vector<double>(3, 1.0)), CheckError);
 }
 
 TEST(Adam, DescendsQuadratic) {
@@ -229,6 +266,54 @@ TEST(InvocationClassifier, CompensationInflatesPrediction) {
   const double p = cls.predict_next(flat);
   // bucket 0 upper bound = 2, +50% = 3.
   EXPECT_NEAR(p, 3.0, 1e-9);
+}
+
+TEST(LstmPredictors, SharedConstPredictorServesManyThreads) {
+  // predict_next() is const and writes no shared state, so threads may share
+  // one trained predictor; each must see exactly the serial predictions.
+  Rng rng(31);
+  std::vector<double> counts(160), gaps(160);
+  for (std::size_t t = 0; t < counts.size(); ++t) {
+    counts[t] = static_cast<double>(rng.poisson(3.0 + 2.0 * std::sin(0.3 * t)));
+    gaps[t] = rng.exponential(2.0);
+  }
+  LstmOptions o;
+  o.hidden = 8;
+  o.seq_len = 8;
+  o.epochs = 2;
+  InvocationClassifier::Options co;
+  co.lstm = o;
+  InvocationClassifier cls(co);
+  LstmRegressor single(o);
+  DualLstmRegressor dual(o);
+  cls.fit(std::span<const double>(counts).subspan(0, 120));
+  single.fit(std::span<const double>(gaps).subspan(0, 120));
+  dual.fit(std::span<const double>(gaps).subspan(0, 120),
+           std::span<const double>(counts).subspan(0, 120));
+
+  auto predictions = [&](const InvocationClassifier& c, const LstmRegressor& s,
+                         const DualLstmRegressor& d) {
+    std::vector<double> out;
+    for (std::size_t t = 120; t <= counts.size(); ++t) {
+      const std::span<const double> cs(counts.data(), t), gs(gaps.data(), t);
+      out.push_back(c.predict_next(cs));
+      out.push_back(s.predict_next(gs));
+      out.push_back(d.predict_next(gs, cs));
+    }
+    return out;
+  };
+  const std::vector<double> serial = predictions(cls, single, dual);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int w = 0; w < kThreads; ++w)
+      threads.emplace_back([&, w] {
+        for (int rep = 0; rep < 3; ++rep) got[w] = predictions(cls, single, dual);
+      });
+  }
+  for (const auto& g : got) EXPECT_EQ(g, serial);
 }
 
 // --- classic baselines -----------------------------------------------------------

@@ -168,13 +168,14 @@ lint_step() {
 # ThreadSanitizer flavor: the concurrency suite, the exp parallel==serial
 # determinism suite, the lane-equivalence suite (lanes stepped by competing
 # threads), the realtime-driver suite (wall-clock pacing + stop flag cross
-# threads) and the 32-cell sweep smoke must produce zero reports.
+# threads), threads sharing one trained LSTM predictor and the 32-cell sweep
+# smoke must produce zero reports.
 tsan_step() {
   local dir="${prefix}-tsan"
   echo "==== [tsan] configure + build (SMILESS_SANITIZE=thread) ===="
   configure_flavor tsan "${dir}" -DSMILESS_SANITIZE=thread
   cmake --build "${dir}" --target concurrency_test exp_test sharding_test rt_test \
-      smiless_cli -j "${jobs}"
+      predictor_test smiless_cli -j "${jobs}"
   echo "==== [tsan] concurrency_test ===="
   "${dir}/tests/concurrency_test"
   echo "==== [tsan] exp_test (parallel == serial sweep) ===="
@@ -183,6 +184,8 @@ tsan_step() {
   "${dir}/tests/sharding_test"
   echo "==== [tsan] rt_test (DES vs realtime equivalence + wall-clock stop flag) ===="
   "${dir}/tests/rt_test"
+  echo "==== [tsan] predictor_test (threads sharing one const LSTM predictor) ===="
+  "${dir}/tests/predictor_test" --gtest_filter='LstmPredictors.SharedConstPredictorServesManyThreads'
   echo "==== [tsan] 32-cell sweep smoke ===="
   local tmp
   tmp="$(mktemp -d)"
@@ -221,10 +224,13 @@ sweep_smoke() {
 }
 
 # Golden bit-identity smoke: the 32-cell sweep must reproduce the checked-in
-# artifact byte for byte. This is the cross-commit determinism contract — a
-# refactor that claims behavioural neutrality must leave this untouched. A
-# legitimate behaviour change regenerates tests/golden/sweep_smoke.json in
-# the same commit (and says why in its message).
+# artifact byte for byte, and lstm_golden_test must reproduce
+# tests/golden/lstm_predictor.txt (the LSTM kernel, the predictors and a
+# SMIless cell with the Online Predictor on, which every sweep cell leaves
+# off). This is the cross-commit determinism contract — a refactor that
+# claims behavioural neutrality must leave both untouched. A legitimate
+# behaviour change regenerates the golden in the same commit (and says why
+# in its message).
 golden_smoke() {
   echo "==== [golden] 32-cell sweep vs tests/golden/sweep_smoke.json ===="
   local golden="${repo}/tests/golden/sweep_smoke.json"
@@ -243,6 +249,8 @@ golden_smoke() {
   fi
   rm -rf "${dir}"
   echo "[golden] bit-identical to the pinned artifact OK"
+  echo "==== [golden] LSTM-on path vs tests/golden/lstm_predictor.txt ===="
+  "${prefix}/tests/lstm_golden_test"
 }
 
 # Observability smoke: the same sweep with artifact collection on must (a)
@@ -556,7 +564,7 @@ case "${mode}" in
   golden)
     echo "==== [golden] configure + build ===="
     configure_flavor ci "${prefix}"
-    cmake --build "${prefix}" --target smiless_cli -j "${jobs}"
+    cmake --build "${prefix}" --target smiless_cli lstm_golden_test -j "${jobs}"
     golden_smoke
     echo "==== golden green ===="
     exit 0
@@ -588,7 +596,7 @@ case "${mode}" in
   serve)
     echo "==== [serve] configure + build ===="
     configure_flavor ci "${prefix}"
-    cmake --build "${prefix}" --target smiless_cli -j "${jobs}"
+    cmake --build "${prefix}" --target smiless_cli lstm_golden_test -j "${jobs}"
     serve_smoke
     # The seam must not have moved the DES path: goldens stay bit-identical.
     golden_smoke
