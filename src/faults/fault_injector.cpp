@@ -27,9 +27,9 @@ double FaultInjector::inflate_inference(double latency) {
   if (!rng_->bernoulli(spec_.straggler_prob)) return latency;
   ++stats_.stragglers;
   if (bus_ != nullptr && engine_ != nullptr)
-    bus_->publish({.type = obs::EventType::StragglerInjected,
-                   .t = engine_->now(),
-                   .value = spec_.straggler_factor});
+    bus_->publish({.t = engine_->now(),
+                   .value = spec_.straggler_factor,
+                   .type = obs::EventType::StragglerInjected});
   return latency * spec_.straggler_factor;
 }
 

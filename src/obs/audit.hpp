@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -42,6 +43,10 @@ class AuditLog {
   void record(DecisionRecord rec);
 
   const std::vector<DecisionRecord>& records() const { return records_; }
+  /// Forget the `n` oldest records; the solver aggregates are kept.
+  void drop_front(std::size_t n) {
+    records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(n));
+  }
   std::uint64_t solver_calls() const { return solver_calls_; }
   double total_solver_seconds() const { return total_solver_seconds_; }
 

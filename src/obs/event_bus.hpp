@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -9,9 +10,11 @@ namespace smiless::obs {
 
 /// Synchronous in-simulation event bus. Producers hold a nullable
 /// `EventBus*` and publish only when it is non-null, so a disabled run pays
-/// one pointer test per site. The bus both retains the full event stream (for
+/// one pointer test per site. The bus both retains the event stream (for
 /// the exporters, which need ordered replay) and fans out to registered
-/// sinks (for online consumers such as the metric registry).
+/// sinks (for online consumers such as the metric registry). A sharded
+/// lane's bus has no sinks and is a bare log: the barrier merge hands its
+/// prefix to the cell's bus and drops it (obs/merge.hpp).
 ///
 /// Publishing happens strictly from simulation callbacks, which the engine
 /// runs single-threaded, so no synchronisation is needed; the recorded order
@@ -29,6 +32,12 @@ class EventBus {
 
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
+
+  /// Forget the `n` oldest retained events (sinks are not involved). The
+  /// capacity is kept, so a log drained every window stops allocating.
+  void drop_front(std::size_t n) {
+    events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(n));
+  }
 
  private:
   std::vector<Event> events_;

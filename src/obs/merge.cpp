@@ -1,7 +1,6 @@
 #include "obs/merge.hpp"
 
 #include <cstddef>
-#include <limits>
 
 #include "common/check.hpp"
 
@@ -15,50 +14,52 @@ int remap_app(const std::vector<int>* app_map, int app) {
   return (*app_map)[app];
 }
 
-}  // namespace
-
-void merge_lanes(const std::vector<LaneTelemetry>& lanes, Telemetry& dst) {
-  for (const auto& lane : lanes) SMILESS_CHECK(lane.telemetry != nullptr);
-
-  // --- events: k-way stable time-merge, lane index breaks ties --------------
-  std::vector<std::size_t> cursor(lanes.size(), 0);
+/// K-way merge of the lanes' `t < before` prefixes: `log(l)` is lane l's
+/// entry vector, `emit(l, entry)` consumes one entry. Returns how many
+/// entries each lane gave up, so the caller can drop them.
+template <typename Log, typename Emit>
+std::vector<std::size_t> merge_prefix(std::size_t lanes, double before, Log&& log,
+                                      Emit&& emit) {
+  std::vector<std::size_t> cursor(lanes, 0);
   for (;;) {
-    std::size_t best = lanes.size();
-    double best_t = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      const auto& events = lanes[l].telemetry->bus().events();
-      if (cursor[l] >= events.size()) continue;
-      const double t = events[cursor[l]].t;
+    std::size_t best = lanes;
+    double best_t = before;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const auto& entries = log(l);
+      if (cursor[l] >= entries.size()) continue;
+      const double t = entries[cursor[l]].t;
       if (t < best_t) {  // strict: on a tie the lowest lane index wins
         best_t = t;
         best = l;
       }
     }
-    if (best == lanes.size()) break;
-    Event e = lanes[best].telemetry->bus().events()[cursor[best]++];
-    e.app = remap_app(lanes[best].app_map, e.app);
-    if (e.machine >= 0) e.machine += lanes[best].machine_base;
-    dst.bus().publish(e);
+    if (best == lanes) return cursor;
+    emit(best, log(best)[cursor[best]++]);
   }
+}
 
-  // --- audit: same merge rule, app field remapped ---------------------------
-  std::vector<std::size_t> acursor(lanes.size(), 0);
-  for (;;) {
-    std::size_t best = lanes.size();
-    double best_t = std::numeric_limits<double>::infinity();
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      const auto& records = lanes[l].telemetry->audit().records();
-      if (acursor[l] >= records.size()) continue;
-      const double t = records[acursor[l]].t;
-      if (t < best_t) {
-        best_t = t;
-        best = l;
-      }
-    }
-    if (best == lanes.size()) break;
-    DecisionRecord rec = lanes[best].telemetry->audit().records()[acursor[best]++];
-    rec.app = remap_app(lanes[best].app_map, rec.app);
-    dst.audit().record(std::move(rec));
+}  // namespace
+
+void merge_lanes(const std::vector<LaneTelemetry>& lanes, Telemetry& dst, double before) {
+  for (const auto& lane : lanes) SMILESS_CHECK(lane.events != nullptr && lane.audit != nullptr);
+
+  const std::vector<std::size_t> events = merge_prefix(
+      lanes.size(), before, [&](std::size_t l) -> const auto& { return lanes[l].events->events(); },
+      [&](std::size_t l, Event e) {
+        e.app = remap_app(lanes[l].app_map, e.app);
+        if (e.machine >= 0) e.machine += lanes[l].machine_base;
+        dst.bus().publish(e);
+      });
+  const std::vector<std::size_t> records = merge_prefix(
+      lanes.size(), before, [&](std::size_t l) -> const auto& { return lanes[l].audit->records(); },
+      [&](std::size_t l, DecisionRecord rec) {
+        rec.app = remap_app(lanes[l].app_map, rec.app);
+        dst.audit().record(std::move(rec));
+      });
+
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    lanes[l].events->drop_front(events[l]);
+    lanes[l].audit->drop_front(records[l]);
   }
 }
 

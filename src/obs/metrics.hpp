@@ -67,6 +67,15 @@ class MetricRegistry {
   void gauge(const std::string& name, double value) { gauges_[name] = value; }
   void observe(const std::string& name, double value) { histograms_[name].add(value); }
 
+  /// Stable slots for hot online sinks: the entry `name`, created (zero /
+  /// empty) if absent, exactly as the first count()/observe() would. A
+  /// reference stays valid for the registry's lifetime (map nodes never
+  /// move and nothing erases), so a sink builds each key once and then
+  /// updates through the slot. Create a slot only when the first update is
+  /// due: an entry never updated would still be exported.
+  std::uint64_t& counter_slot(const std::string& name) { return counters_[name]; }
+  Histogram& histogram_slot(const std::string& name) { return histograms_[name]; }
+
   std::uint64_t counter(const std::string& name) const;
   double gauge_value(const std::string& name) const;
   const Histogram* histogram(const std::string& name) const;

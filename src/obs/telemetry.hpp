@@ -1,8 +1,10 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <string>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.hpp"
@@ -20,10 +22,22 @@ namespace smiless::obs {
 /// the policy decision audit log. Exporters render the retained event stream
 /// into artifacts after the run. One Telemetry belongs to one experiment
 /// cell; cross-cell artifacts are produced by the exp-layer artifact writers,
-/// which iterate cells in deterministic order.
+/// which iterate cells in deterministic order. A sharded cell has one
+/// Telemetry too: its lanes keep bare logs that obs::merge_lanes republishes
+/// through this bus at every window barrier.
+///
+/// The online sink builds no strings per event: each registry key is built
+/// once, when its entry is first updated, and the entry is then reached
+/// through a cached slot (one counter per event type, infer/wait/init
+/// histograms per (app, node), an e2e histogram per app). Ready times for
+/// the queue-wait histogram live in a hash map keyed by the exact
+/// (app, node, request) triple.
 class Telemetry {
  public:
   Telemetry();
+  // The bus sink captures `this`.
+  Telemetry(const Telemetry&) = delete;
+  Telemetry& operator=(const Telemetry&) = delete;
 
   EventBus& bus() { return bus_; }
   const EventBus& bus() const { return bus_; }
@@ -34,7 +48,8 @@ class Telemetry {
 
   /// Name the tracks for a deployed app: display name + DAG node names in
   /// NodeId order. Must be called before that app's events are interpreted
-  /// by name (metrics use the names as keys). `sla` (seconds; 0 = none)
+  /// by name (metrics use the names as keys); it drops the cached per-app
+  /// slots so later events resolve the new names. `sla` (seconds; 0 = none)
   /// feeds the time series' slo_attainment accounting.
   void register_app(int app, std::string name, std::vector<std::string> node_names,
                     double sla = 0.0);
@@ -59,17 +74,38 @@ class Telemetry {
   json::Value audit_json() const;
 
  private:
+  /// Registry slots of one (app, node); null until first updated.
+  struct NodeSlots {
+    Histogram* infer = nullptr;
+    Histogram* wait = nullptr;
+    Histogram* init = nullptr;
+  };
+  struct AppSlots {
+    Histogram* e2e = nullptr;
+    std::vector<NodeSlots> nodes;
+  };
+
   void on_event(const Event& e);
   std::string app_label(int app) const;
   std::string node_label(int app, int node) const;
+  /// The cached slots of an app / (app, node). Negative ids are not deploy
+  /// indices and get a fresh uncached entry per event.
+  AppSlots& app_slots(int app);
+  NodeSlots& node_slots(int app, int node);
+  /// `slot`, resolved to "<family>/<app>/<node>" on first use.
+  Histogram& node_histogram(Histogram*& slot, const char* family, int app, int node);
 
   EventBus bus_;
   MetricRegistry registry_;
   AuditLog audit_;
   TimeSeries series_;
   std::map<int, AppTrackInfo> apps_;
+  std::array<std::uint64_t*, kEventTypeCount> counter_slots_{};
+  std::vector<AppSlots> app_slots_;  ///< indexed by app id
+  AppSlots uncached_app_;
+  NodeSlots uncached_node_;
   // (app, node, request) -> time the invocation became ready, for queue-wait.
-  std::map<std::tuple<int, int, int>, double> ready_at_;
+  std::unordered_map<IdTriple, double, IdTripleHash> ready_at_;
 };
 
 }  // namespace smiless::obs

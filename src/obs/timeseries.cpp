@@ -18,7 +18,12 @@ void TimeSeries::enable(double cadence) {
   bin_end_ = cadence;
 }
 
-void TimeSeries::set_app_sla(int app, double sla) { slas_[app] = sla; }
+void TimeSeries::set_app_sla(int app, double sla) {
+  SMILESS_CHECK(app >= 0);
+  const auto a = static_cast<std::size_t>(app);
+  if (a >= slas_.size()) slas_.resize(a + 1, 0.0);
+  slas_[a] = sla;
+}
 
 void TimeSeries::accumulate(double until) {
   const double dt = until - last_t_;
@@ -40,10 +45,7 @@ void TimeSeries::close_bin() {
   cur_.utilization = active_sec_ > 0.0 ? busy_sec_ / active_sec_ : 0.0;
   cur_.cost_rate = active_sec_ / cadence_;
   closed_.push_back(cur_);
-  for (auto& [key, series] : fn_series_) {
-    const auto it = fn_queue_.find(key);
-    series.push_back(it != fn_queue_.end() ? static_cast<double>(it->second) : 0.0);
-  }
+  for (auto& [key, fn] : fns_) fn.series.push_back(static_cast<double>(fn.depth));
   cur_ = Bin{};
   cur_e2e_.clear();
   active_sec_ = 0.0;
@@ -64,20 +66,19 @@ void TimeSeries::advance_to(double t) {
 
 void TimeSeries::machine_add(int machine) {
   if (machine < 0) return;
-  if (++machine_instances_[machine] == 1) ++busy_machines_;
+  const auto m = static_cast<std::size_t>(machine);
+  if (m >= machine_instances_.size()) machine_instances_.resize(m + 1, 0);
+  if (++machine_instances_[m] == 1) ++busy_machines_;
 }
 
 void TimeSeries::machine_remove(int machine) {
-  if (machine < 0) return;
-  const auto it = machine_instances_.find(machine);
-  if (it == machine_instances_.end()) return;
-  if (--it->second <= 0) {
-    machine_instances_.erase(it);
-    --busy_machines_;
-  }
+  if (machine < 0 || static_cast<std::size_t>(machine) >= machine_instances_.size()) return;
+  long& n = machine_instances_[static_cast<std::size_t>(machine)];
+  if (n == 0) return;
+  if (--n == 0) --busy_machines_;
 }
 
-void TimeSeries::remove_instance(const std::tuple<int, int, int>& key) {
+void TimeSeries::remove_instance(const IdTriple& key) {
   const auto it = instances_.find(key);
   if (it == instances_.end()) return;
   switch (it->second.state) {
@@ -89,24 +90,36 @@ void TimeSeries::remove_instance(const std::tuple<int, int, int>& key) {
   instances_.erase(it);
 }
 
-void TimeSeries::queue_erase(int app, int request, int node_or_minus1) {
-  if (node_or_minus1 >= 0) {
-    const auto it = queued_.find({app, request, node_or_minus1});
-    if (it == queued_.end()) return;
-    --fn_queue_[{app, node_or_minus1}];
+void TimeSeries::queue_add(int app, int request, int node) {
+  std::vector<QueuedNode>& nodes = queued_[request_key(app, request)];
+  for (const QueuedNode& q : nodes)
+    if (q.node == node) return;  // already ready or executing
+  auto [fn, inserted] = fns_.try_emplace(std::make_pair(app, node));
+  if (inserted) fn->second.series.assign(closed_.size(), 0.0);
+  nodes.push_back({node, &fn->second.depth});
+  ++fn->second.depth;
+  ++queue_total_;
+}
+
+void TimeSeries::queue_erase(int app, int request, int node) {
+  const auto it = queued_.find(request_key(app, request));
+  if (it == queued_.end()) return;
+  std::vector<QueuedNode>& nodes = it->second;
+  for (auto q = nodes.begin(); q != nodes.end(); ++q) {
+    if (q->node != node) continue;
+    --*q->depth;
     --queue_total_;
-    queued_.erase(it);
+    nodes.erase(q);
     return;
   }
-  // Strip every outstanding invocation of a failed request. The key order
-  // (app, request, node) clusters them into one contiguous range.
-  auto it = queued_.lower_bound({app, request, 0});
-  while (it != queued_.end() && std::get<0>(it->first) == app &&
-         std::get<1>(it->first) == request) {
-    --fn_queue_[{app, std::get<2>(it->first)}];
-    --queue_total_;
-    it = queued_.erase(it);
-  }
+}
+
+void TimeSeries::queue_strip(int app, int request) {
+  const auto it = queued_.find(request_key(app, request));
+  if (it == queued_.end()) return;
+  for (const QueuedNode& q : it->second) --*q.depth;
+  queue_total_ -= static_cast<long>(it->second.size());
+  queued_.erase(it);
 }
 
 void TimeSeries::on_event(const Event& e) {
@@ -120,23 +133,22 @@ void TimeSeries::on_event(const Event& e) {
       ++cur_.completions;
       const double e2e = e.t - e.t2;
       cur_e2e_.push_back(e2e);
-      const auto it = slas_.find(e.app);
-      const double sla = it != slas_.end() ? it->second : 0.0;
+      const double sla = e.app >= 0 && static_cast<std::size_t>(e.app) < slas_.size()
+                             ? slas_[static_cast<std::size_t>(e.app)]
+                             : 0.0;
       if (sla <= 0.0 || e2e <= sla) ++cur_.slo_attained;
+      // The request's queue entry is done with, unless a node of it is
+      // still queued (then it stays, as that node's record).
+      const auto it = queued_.find(request_key(e.app, e.request));
+      if (it != queued_.end() && it->second.empty()) queued_.erase(it);
       break;
     }
     case EventType::RequestFailed:
       ++cur_.failures;
-      queue_erase(e.app, e.request, -1);
+      queue_strip(e.app, e.request);
       break;
     case EventType::InvocationReady:
-      if (queued_.emplace(std::make_tuple(e.app, e.request, e.node), 1).second) {
-        auto [fit, inserted] = fn_queue_.emplace(std::make_pair(e.app, e.node), 0);
-        if (inserted || fn_series_.find(fit->first) == fn_series_.end())
-          fn_series_.emplace(fit->first, std::vector<double>(closed_.size(), 0.0));
-        ++fit->second;
-        ++queue_total_;
-      }
+      queue_add(e.app, e.request, e.node);
       break;
     case EventType::InvocationDone:
       queue_erase(e.app, e.request, e.node);
@@ -144,12 +156,12 @@ void TimeSeries::on_event(const Event& e) {
     case EventType::InstanceCreated: {
       ++cur_.cold_starts;
       ++init_;
-      instances_[std::make_tuple(e.app, e.node, e.instance)] = InstanceRec{0, e.machine};
+      instances_[IdTriple{e.app, e.node, e.instance}] = InstanceRec{0, e.machine};
       machine_add(e.machine);
       break;
     }
     case EventType::InstanceReady: {
-      const auto it = instances_.find(std::make_tuple(e.app, e.node, e.instance));
+      const auto it = instances_.find(IdTriple{e.app, e.node, e.instance});
       if (it != instances_.end() && it->second.state == 0) {
         it->second.state = 1;
         --init_;
@@ -158,7 +170,7 @@ void TimeSeries::on_event(const Event& e) {
       break;
     }
     case EventType::BatchStart: {
-      const auto it = instances_.find(std::make_tuple(e.app, e.node, e.instance));
+      const auto it = instances_.find(IdTriple{e.app, e.node, e.instance});
       if (it != instances_.end() && it->second.state == 1) {
         it->second.state = 2;
         --warm_;
@@ -167,7 +179,7 @@ void TimeSeries::on_event(const Event& e) {
       break;
     }
     case EventType::BatchEnd: {
-      const auto it = instances_.find(std::make_tuple(e.app, e.node, e.instance));
+      const auto it = instances_.find(IdTriple{e.app, e.node, e.instance});
       if (it != instances_.end() && it->second.state == 2) {
         it->second.state = 1;
         --busy_;
@@ -178,7 +190,7 @@ void TimeSeries::on_event(const Event& e) {
     case EventType::InstanceInitFailed:
     case EventType::InstanceTerminated:
     case EventType::InstanceEvicted:
-      remove_instance(std::make_tuple(e.app, e.node, e.instance));
+      remove_instance(IdTriple{e.app, e.node, e.instance});
       break;
     default:
       break;
@@ -249,11 +261,11 @@ json::Value TimeSeries::to_json(const std::map<int, AppTrackInfo>& apps) const {
     return a + "/" + n;
   };
   json::Value fns = json::Value::array();
-  for (const auto& [key, series] : fn_series_) {
+  for (const auto& [key, fn] : fns_) {
     json::Value v = json::Value::object();
     v["function"] = label(key.first, key.second);
     json::Value arr = json::Value::array();
-    for (const double d : series) arr.push_back(json::Value(d));
+    for (const double d : fn.series) arr.push_back(json::Value(d));
     v["queue_depth"] = std::move(arr);
     fns.push_back(std::move(v));
   }

@@ -22,19 +22,26 @@
 ///
 /// Every input is simulation-domain (event times, ids) — no wall clock —
 /// so the series is byte-identical at any --threads/--lane-threads/--lanes
-/// setting. Under sharding the lanes' buses are republished through the
+/// setting. Under sharding the lanes' logs are republished through the
 /// destination Telemetry by obs::merge_lanes in deterministic (t, lane,
-/// order) order, so a series attached to the merged Telemetry is the
-/// merge-associative fold of the lane streams: series(merge(lanes)) ==
-/// series(monolithic stream) whenever the streams are equal, which the
-/// sharding invariance suite asserts.
+/// order) order, one window barrier at a time, so a series attached to the
+/// merged Telemetry is the merge-associative fold of the lane streams:
+/// series(merge(lanes)) == series(monolithic stream) whenever the streams
+/// are equal, which the sharding invariance suite asserts.
 ///
 /// The cadence is a serialized experiment knob (ExperimentConfig::obs);
-/// disabled (cadence 0) the series costs one branch per event.
+/// disabled (cadence 0) the series costs one branch per event. Enabled, the
+/// per-event state is hashed or indexed, never a tree walk: live instances
+/// by their exact (app, node, instance) triple, the machine census by
+/// machine id, and each request's queued nodes under its (app, request)
+/// key, each holding a pointer to its function's depth gauge. Only the
+/// per-function map is ordered, because the export order follows it; it is
+/// looked up once per ready invocation.
 
+#include <cstdint>
 #include <map>
 #include <string>
-#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -93,13 +100,36 @@ class TimeSeries {
     int machine = -1;
   };
 
+  /// One function's queue: the live depth gauge and its value at every
+  /// closed bin (functions appearing mid-run are backfilled with zeros).
+  struct FnTrack {
+    long depth = 0;
+    std::vector<double> series;
+  };
+
+  /// One ready-or-executing invocation of a request: its node and the
+  /// depth gauge of its function (inside a node of fns_, which never
+  /// erases).
+  struct QueuedNode {
+    int node = 0;
+    long* depth = nullptr;
+  };
+
   void advance_to(double t);
   void accumulate(double until);
   void close_bin();
-  void remove_instance(const std::tuple<int, int, int>& key);
+  void remove_instance(const IdTriple& key);
   void machine_add(int machine);
   void machine_remove(int machine);
-  void queue_erase(int app, int request, int node_or_minus1);
+  void queue_add(int app, int request, int node);
+  void queue_erase(int app, int request, int node);
+  void queue_strip(int app, int request);
+
+  /// Lossless (app, request) key: both ids in one 64-bit word.
+  static std::uint64_t request_key(int app, int request) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(app)) << 32) |
+           static_cast<std::uint32_t>(request);
+  }
 
   double cadence_ = 0.0;
   double bin_end_ = 0.0;  ///< close time of the bin currently accumulating
@@ -110,11 +140,14 @@ class TimeSeries {
   long init_ = 0, warm_ = 0, busy_ = 0;
   long busy_machines_ = 0;
   long queue_total_ = 0;
-  std::map<std::tuple<int, int, int>, InstanceRec> instances_;  ///< (app,node,id)
-  std::map<int, long> machine_instances_;
-  std::map<std::pair<int, int>, long> fn_queue_;            ///< (app,node) -> depth
-  std::map<std::tuple<int, int, int>, int> queued_;         ///< (app,request,node)
-  std::map<int, double> slas_;
+  std::unordered_map<IdTriple, InstanceRec, IdTripleHash> instances_;  ///< (app,node,id)
+  std::vector<long> machine_instances_;  ///< live instances per machine id
+  /// (app, node) -> its queue; ordered, because the export follows it.
+  std::map<std::pair<int, int>, FnTrack> fns_;
+  /// (app, request) -> its queued nodes. An entry lives until the request
+  /// completes or fails, so a pipeline reuses it for every stage.
+  std::unordered_map<std::uint64_t, std::vector<QueuedNode>> queued_;
+  std::vector<double> slas_;  ///< by app id; 0 = no SLA
 
   // Current-bin accumulators.
   Bin cur_;
@@ -123,9 +156,6 @@ class TimeSeries {
   double busy_sec_ = 0.0;    ///< integral of busy dt in the bin
 
   std::vector<Bin> closed_;
-  /// Per-function queue-depth gauge per closed bin; functions appearing
-  /// mid-run are backfilled with zeros.
-  std::map<std::pair<int, int>, std::vector<double>> fn_series_;
 };
 
 }  // namespace smiless::obs

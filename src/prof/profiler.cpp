@@ -33,6 +33,7 @@ const char* site_name(Site s) {
     case Site::PoolBatchDone: return "pool/on_batch_done";
     case Site::LaneStep: return "shard/lane_step";
     case Site::ShardBarrier: return "shard/barrier";
+    case Site::ShardMerge: return "shard/merge";
     case Site::Finalize: return "cell/finalize";
     case Site::kCount: break;
   }

@@ -63,7 +63,8 @@ enum class Site : int {
   PoolBatchDone,   ///< InstancePool::on_batch_done (completion bookkeeping)
   LaneStep,        ///< ShardedPlatform: one lane's window step
   ShardBarrier,    ///< ShardedPlatform: coordinator barrier (slowest lane)
-  Finalize,        ///< Platform/ShardedPlatform finalize + telemetry merge
+  ShardMerge,      ///< ShardedPlatform: lane logs -> cell telemetry, per barrier
+  Finalize,        ///< Platform/ShardedPlatform finalize
   kCount
 };
 

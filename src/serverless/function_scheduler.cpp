@@ -115,14 +115,14 @@ void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
     const InstanceId inst_id = chosen->id;
     const SimTime exec_start = engine_.now();
     if (options_.bus != nullptr)
-      options_.bus->publish({.type = EventType::BatchStart,
-                             .t = exec_start,
+      options_.bus->publish({.t = exec_start,
                              .app = app,
                              .node = node,
                              .request = batch.front(),
                              .instance = inst_id,
                              .machine = chosen->alloc.machine,
-                             .count = batch_n});
+                             .count = batch_n,
+                             .type = EventType::BatchStart});
     chosen->inflight.assign(batch.begin(), batch.end());  // reuses its capacity
     chosen->pending = engine_.schedule_after(
         latency, [this, app, node, inst_id, exec_start, batch = std::move(batch)]() mutable {
@@ -131,23 +131,23 @@ void FunctionScheduler::dispatch(AppId app, dag::NodeId node) {
               tracker_->record_span(app, node, r, exec_start, static_cast<int>(batch.size()));
           }
           if (options_.bus != nullptr) {
-            options_.bus->publish({.type = EventType::BatchEnd,
-                                   .t = engine_.now(),
+            options_.bus->publish({.t = engine_.now(),
                                    .t2 = exec_start,
                                    .app = app,
                                    .node = node,
                                    .request = batch.front(),
                                    .instance = inst_id,
-                                   .count = static_cast<int>(batch.size())});
+                                   .count = static_cast<int>(batch.size()),
+                                   .type = EventType::BatchEnd});
             for (RequestId r : batch)
-              options_.bus->publish({.type = EventType::InvocationDone,
-                                     .t = engine_.now(),
+              options_.bus->publish({.t = engine_.now(),
                                      .t2 = exec_start,
                                      .app = app,
                                      .node = node,
                                      .request = r,
                                      .instance = inst_id,
-                                     .count = static_cast<int>(batch.size())});
+                                     .count = static_cast<int>(batch.size()),
+                                     .type = EventType::InvocationDone});
           }
           pool_->on_batch_done(app, node, inst_id, std::move(batch));
         });

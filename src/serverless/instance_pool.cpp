@@ -87,12 +87,12 @@ void InstancePool::ensure_capacity(AppId app, dag::NodeId node) {
   ++ledger_.fn(app, node).retries;
   f.retry_scheduled = true;
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::RetryScheduled,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
+                           .value = backoff_delay(f.retry_attempts),
                            .app = app,
                            .node = node,
-                           .value = backoff_delay(f.retry_attempts),
-                           .count = f.retry_attempts});
+                           .count = f.retry_attempts,
+                           .type = EventType::RetryScheduled});
   engine_.schedule_after(backoff_delay(f.retry_attempts), [this, app, node] {
     fn(app, node).retry_scheduled = false;
     scheduler_->dispatch(app, node);
@@ -119,13 +119,13 @@ Instance* InstancePool::create_instance(AppId app, dag::NodeId node,
   f.instances.back().ready_at = engine_.now() + init;
   const InstanceId inst_id = inst.id;
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::InstanceCreated,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
+                           .value = init,
                            .app = app,
                            .node = node,
                            .instance = inst_id,
                            .machine = inst.alloc.machine,
-                           .value = init});
+                           .type = EventType::InstanceCreated});
   const bool init_fails =
       options_.faults != nullptr && options_.faults->sample_init_failure();
   f.instances.back().pending =
@@ -147,13 +147,13 @@ void InstancePool::on_init_done(AppId app, dag::NodeId node, InstanceId instance
   it->st = InstanceState::Idle;
   f.retry_attempts = 0;  // a live instance ends the cold-start failure streak
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::InstanceReady,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
                            .t2 = it->created,
                            .app = app,
                            .node = node,
                            .instance = instance_id,
-                           .machine = it->alloc.machine});
+                           .machine = it->alloc.machine,
+                           .type = EventType::InstanceReady});
   on_instance_idle(app, node, instance_id);
 }
 
@@ -165,13 +165,13 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
   it->pending = 0;
   ++ledger_.fn(app, node).init_failures;
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::InstanceInitFailed,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
                            .t2 = it->created,
                            .app = app,
                            .node = node,
                            .instance = instance_id,
-                           .machine = it->alloc.machine});
+                           .machine = it->alloc.machine,
+                           .type = EventType::InstanceInitFailed});
   // The failed attempt is billed (the provider ran the container) and its
   // grant released.
   retire_accounting(app, node, *it);
@@ -191,11 +191,11 @@ void InstancePool::on_init_failed(AppId app, dag::NodeId node, InstanceId instan
   }
   ++ledger_.fn(app, node).retries;
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::RetryScheduled,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
                            .app = app,
                            .node = node,
-                           .count = f.retry_attempts});
+                           .count = f.retry_attempts,
+                           .type = EventType::RetryScheduled});
   scheduler_->dispatch(app, node);
 }
 
@@ -274,13 +274,13 @@ void InstancePool::terminate_instance(AppId app, dag::NodeId node, InstanceId in
   if (it->kill_timer != 0) engine_.cancel(it->kill_timer);
   if (it->pending != 0) engine_.cancel(it->pending);
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::InstanceTerminated,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
                            .t2 = it->created,
                            .app = app,
                            .node = node,
                            .instance = instance_id,
-                           .machine = it->alloc.machine});
+                           .machine = it->alloc.machine,
+                           .type = EventType::InstanceTerminated});
   retire_accounting(app, node, *it);
   f.instances.erase(it);
 }

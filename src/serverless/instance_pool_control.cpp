@@ -39,13 +39,13 @@ void InstancePool::on_machine_down(int machine) {
         if (inst.pending != 0) engine_.cancel(inst.pending);
         ++fm.evictions;
         if (options_.bus != nullptr)
-          options_.bus->publish({.type = EventType::InstanceEvicted,
-                                 .t = engine_.now(),
+          options_.bus->publish({.t = engine_.now(),
                                  .t2 = inst.created,
                                  .app = app,
                                  .node = node,
                                  .instance = inst.id,
-                                 .machine = machine});
+                                 .machine = machine,
+                                 .type = EventType::InstanceEvicted});
         // Re-dispatch in-flight work at the head of the queue, preserving
         // the original order; each re-dispatch spends one retry.
         for (auto rit = inst.inflight.rbegin(); rit != inst.inflight.rend(); ++rit) {
@@ -119,18 +119,18 @@ sim::EventId InstancePool::prewarm_at(AppId app, dag::NodeId node, SimTime init_
       }
       if (covers > need) {
         if (options_.bus != nullptr)
-          options_.bus->publish({.type = EventType::PrewarmSkipped,
-                                 .t = engine_.now(),
+          options_.bus->publish({.t = engine_.now(),
                                  .app = app,
-                                 .node = node});
+                                 .node = node,
+                                 .type = EventType::PrewarmSkipped});
         return;
       }
     }
     if (options_.bus != nullptr)
-      options_.bus->publish({.type = EventType::PrewarmFired,
-                             .t = engine_.now(),
+      options_.bus->publish({.t = engine_.now(),
                              .app = app,
-                             .node = node});
+                             .node = node,
+                             .type = EventType::PrewarmFired});
     create_instance(app, node, plan.config);
   });
   f.prewarms.push_back(id);
@@ -164,13 +164,13 @@ void InstancePool::finalize(SimTime end) {
         if (inst.kill_timer != 0) engine_.cancel(inst.kill_timer);
         if (inst.pending != 0) engine_.cancel(inst.pending);
         if (options_.bus != nullptr)
-          options_.bus->publish({.type = EventType::InstanceTerminated,
-                                 .t = end,
+          options_.bus->publish({.t = end,
                                  .t2 = inst.created,
                                  .app = app,
                                  .node = node,
                                  .instance = inst.id,
-                                 .machine = inst.alloc.machine});
+                                 .machine = inst.alloc.machine,
+                                 .type = EventType::InstanceTerminated});
         ledger_.bill_instance(app, node, inst, end);
         cluster_.release(inst.alloc);
       }

@@ -32,9 +32,9 @@ Platform::Platform(sim::Engine& engine, cluster::Cluster& cluster, perf::Pricing
   pool_.wire(this, &scheduler_, &tracker_);
   cluster_listener_ = cluster_.add_listener([this](int machine, bool up) {
     if (options_.bus != nullptr)
-      options_.bus->publish({.type = up ? EventType::MachineUp : EventType::MachineDown,
-                             .t = engine_.now(),
-                             .machine = machine});
+      options_.bus->publish({.t = engine_.now(),
+                             .machine = machine,
+                             .type = up ? EventType::MachineUp : EventType::MachineDown});
     if (!up) pool_.on_machine_down(machine);
   });
 }

@@ -44,10 +44,10 @@ RequestId RequestTracker::admit(AppId app) {
   rs.push_back(std::move(r));
   const auto ridx = static_cast<RequestId>(rs.size() - 1);
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::RequestSubmitted,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
                            .app = app,
-                           .request = ridx});
+                           .request = ridx,
+                           .type = EventType::RequestSubmitted});
 
   for (dag::NodeId src : spec.dag.sources()) on_node_ready(app, src, ridx);
   return ridx;
@@ -56,11 +56,11 @@ RequestId RequestTracker::admit(AppId app) {
 void RequestTracker::on_node_ready(AppId app, dag::NodeId node, RequestId request) {
   if (options_.record_traces) req(app, request).ready_at[node] = engine_.now();
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::InvocationReady,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
                            .app = app,
                            .node = node,
-                           .request = request});
+                           .request = request,
+                           .type = EventType::InvocationReady});
   arm_timeout(app, node, request);
   scheduler_->enqueue(app, node, request);
 }
@@ -78,11 +78,11 @@ void RequestTracker::arm_timeout(AppId app, dag::NodeId node, RequestId request)
         if (rr.done || rr.failed) return;
         ++ledger_.fn(app, node).timeouts;
         if (options_.bus != nullptr)
-          options_.bus->publish({.type = EventType::TimeoutFired,
-                                 .t = engine_.now(),
+          options_.bus->publish({.t = engine_.now(),
                                  .app = app,
                                  .node = node,
-                                 .request = request});
+                                 .request = request,
+                                 .type = EventType::TimeoutFired});
         fail_request(app, request);
       });
 }
@@ -93,11 +93,11 @@ void RequestTracker::fail_request(AppId app, RequestId request) {
   r.failed = true;
   ++ledger_.books(app).failed;
   if (options_.bus != nullptr)
-    options_.bus->publish({.type = EventType::RequestFailed,
-                           .t = engine_.now(),
+    options_.bus->publish({.t = engine_.now(),
                            .t2 = r.arrival,
                            .app = app,
-                           .request = request});
+                           .request = request,
+                           .type = EventType::RequestFailed});
   for (auto& ev : r.timeout_ev) {
     if (ev != 0) {
       engine_.cancel(ev);
@@ -152,11 +152,11 @@ void RequestTracker::complete_node(AppId app, dag::NodeId node, RequestId reques
       r.done = true;
       ledger_.books(app).completed.push_back({r.arrival, engine_.now()});
       if (options_.bus != nullptr)
-        options_.bus->publish({.type = EventType::RequestCompleted,
-                               .t = engine_.now(),
+        options_.bus->publish({.t = engine_.now(),
                                .t2 = r.arrival,
                                .app = app,
-                               .request = request});
+                               .request = request,
+                               .type = EventType::RequestCompleted});
       if (options_.record_traces)
         ledger_.books(app).traces.push_back({r.arrival, engine_.now(), std::move(r.spans)});
     }

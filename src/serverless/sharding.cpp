@@ -1,12 +1,15 @@
 #include "serverless/sharding.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "common/check.hpp"
 #include "concurrency/thread_pool.hpp"
+#include "obs/audit.hpp"
+#include "obs/event_bus.hpp"
 #include "obs/merge.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/profiler.hpp"
@@ -26,7 +29,11 @@ struct ShardedPlatform::Lane {
   int machine_base;
   Rng rng;
   faults::FaultInjector injector;
-  std::unique_ptr<obs::Telemetry> telemetry;
+  // Bare logs, used only when the cell collects telemetry: no sinks, no
+  // registry, no series. Every window barrier hands their prefix to the
+  // cell's Telemetry and drops it (obs::merge_lanes).
+  obs::EventBus bus;
+  obs::AuditLog audit;
   std::unique_ptr<prof::Profiler> prof;  ///< private: profilers are not thread-safe
   std::unique_ptr<Platform> platform;
   std::vector<int> app_map;                  ///< lane-local app id -> global
@@ -113,7 +120,6 @@ void ShardedPlatform::build_lanes() {
 
     auto lane = std::make_unique<Lane>(lane_id, n, options_.machine_spec, machine_base,
                                        lane_seed, std::move(fspec));
-    if (options_.telemetry != nullptr) lane->telemetry = std::make_unique<obs::Telemetry>();
     if (options_.prof != nullptr) {
       lane->prof = std::make_unique<prof::Profiler>(lane_id);
       lane->engine.engine().set_profiler(lane->prof.get());
@@ -121,7 +127,7 @@ void ShardedPlatform::build_lanes() {
     PlatformOptions popt = options_.platform;
     popt.lane = lane_id;
     popt.faults = lane->injector.enabled() ? &lane->injector : nullptr;
-    popt.bus = lane->telemetry != nullptr ? &lane->telemetry->bus() : nullptr;
+    popt.bus = options_.telemetry != nullptr ? &lane->bus : nullptr;
     popt.prof = lane->prof.get();
     lane->platform = std::make_unique<Platform>(lane->engine.engine(), lane->cluster,
                                                 options_.pricing, lane->rng, popt);
@@ -143,14 +149,13 @@ void ShardedPlatform::build_lanes() {
       node_names.reserve(pa.app.dag.size());
       for (std::size_t nd = 0; nd < pa.app.dag.size(); ++nd)
         node_names.push_back(pa.app.dag.name(static_cast<dag::NodeId>(nd)));
-      lane.telemetry->register_app(static_cast<int>(lane.app_map.size()), pa.app.name,
-                                   node_names, pa.app.sla);
       options_.telemetry->register_app(static_cast<int>(g), pa.app.name,
                                        std::move(node_names), pa.app.sla);
     }
-    // Decision records go to the lane's private audit log (merged after the
-    // run); a caller-attached log would be written from several lane threads.
-    pa.policy->set_audit_log(lane.telemetry != nullptr ? &lane.telemetry->audit() : nullptr);
+    // Decision records go to the lane's private audit log (merged at each
+    // barrier); a caller-attached log would be written from several lane
+    // threads.
+    pa.policy->set_audit_log(options_.telemetry != nullptr ? &lane.audit : nullptr);
     const AppId id = lane.platform->deploy(std::move(pa.app), std::move(pa.policy));
     refs_[g].local = id;
     lane.ids.push_back(id);
@@ -162,6 +167,18 @@ void ShardedPlatform::build_lanes() {
   // point at the inner vectors, which move while the outer one grows.
   for (auto& lane : lanes_)
     for (const auto& arr : lane->arrivals) lane->cursors.emplace_back(&arr);
+
+  if (options_.telemetry != nullptr) {
+    streams_.reserve(lanes_.size());
+    for (auto& lane : lanes_)
+      streams_.push_back({&lane->bus, &lane->audit, &lane->app_map, lane->machine_base});
+  }
+}
+
+void ShardedPlatform::merge_telemetry(double before) {
+  if (options_.telemetry == nullptr) return;
+  prof::ScopeTimer merge_scope(options_.prof, prof::Site::ShardMerge);
+  obs::merge_lanes(streams_, *options_.telemetry, before);
 }
 
 void ShardedPlatform::inject_arrivals(Lane& lane, double limit, bool flush_all) {
@@ -217,30 +234,29 @@ void ShardedPlatform::run(SimTime end) {
       inject_arrivals(lane, step_end, flush);
       lane.engine.step_to(step_end);
     };
-    // The coordinator charges the whole window — i.e. the wait for the
-    // slowest lane — to the barrier site; a lane's own barrier wait is the
-    // difference between this and its lane_step time.
-    prof::ScopeTimer barrier(options_.prof, prof::Site::ShardBarrier);
-    if (pool != nullptr) {
-      parallel_for(*pool, lanes_.size(), step);
-    } else {
-      for (std::size_t li = 0; li < lanes_.size(); ++li) step(li);
+    {
+      // The coordinator charges the whole window — i.e. the wait for the
+      // slowest lane — to the barrier site; a lane's own barrier wait is the
+      // difference between this and its lane_step time.
+      prof::ScopeTimer barrier(options_.prof, prof::Site::ShardBarrier);
+      if (pool != nullptr) {
+        parallel_for(*pool, lanes_.size(), step);
+      } else {
+        for (std::size_t li = 0; li < lanes_.size(); ++li) step(li);
+      }
     }
+    // Every lane is at step_end now and lane time is monotone, so entries
+    // with t < step_end are final. Arrivals at exactly step_end are injected
+    // by the next step: the cut must be strict.
+    merge_telemetry(step_end);
     t = step_end;
   }
 
   {
     prof::ScopeTimer fin_scope(options_.prof, prof::Site::Finalize);
     for (auto& lane : lanes_) lane->platform->finalize(end);
-
-    if (options_.telemetry != nullptr) {
-      std::vector<obs::LaneTelemetry> streams;
-      streams.reserve(lanes_.size());
-      for (const auto& lane : lanes_)
-        streams.push_back({lane->telemetry.get(), &lane->app_map, lane->machine_base});
-      obs::merge_lanes(streams, *options_.telemetry);
-    }
   }
+  merge_telemetry(std::numeric_limits<double>::infinity());
 
   if (options_.prof != nullptr)
     for (const auto& lane : lanes_)

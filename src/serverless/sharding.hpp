@@ -13,6 +13,7 @@
 
 namespace smiless::obs {
 class Telemetry;
+struct LaneTelemetry;
 }  // namespace smiless::obs
 
 namespace smiless::serverless {
@@ -49,15 +50,17 @@ struct ShardOptions {
   faults::FaultSpec faults;
 
   /// Merged observability output (non-owning, may be null). Each lane
-  /// records into a private Telemetry; at the end of run() the lane streams
+  /// records into bare private logs (events + decisions); at every window
+  /// barrier, and once more after finalize, the lane logs' settled prefixes
   /// are merged in deterministic (t, lane, order) order into this bundle
-  /// with app/machine ids translated back to the cell's global spaces.
+  /// with app/machine ids translated back to the cell's global spaces, and
+  /// dropped from the lanes, so a lane holds about one window of entries.
   obs::Telemetry* telemetry = nullptr;
 
   /// Merged self-profiler output (non-owning, may be null). Profilers are
   /// not thread-safe, so each lane times itself into a private Profiler
   /// (lane step, engine, platform subsystems) while the coordinator charges
-  /// barrier waits here; lane profilers are merged into this one — keeping
+  /// barrier waits and telemetry merges here; lane profilers are merged into this one — keeping
   /// a per-lane breakdown — after the run. Wall-clock only; the trajectory
   /// and every golden-compared artifact are identical with or without it.
   prof::Profiler* prof = nullptr;
@@ -67,7 +70,7 @@ struct ShardOptions {
 ///
 /// Apps are partitioned by a stable hash of their deploy index; each lane
 /// owns a full private world — engine, cluster slice, RNG, fault injector,
-/// platform, telemetry — and lanes advance in lockstep between
+/// platform, event and decision logs — and lanes advance in lockstep between
 /// `window_seconds` barriers. Because lanes share no mutable state and every
 /// merge is ordered by (time, lane id, per-lane order), the output is
 /// bit-identical at any `lane_threads`, and a cell whose apps land in one
@@ -93,8 +96,9 @@ class ShardedPlatform {
   /// absolute sim times). Returns the app's global id. Call before run().
   int add_app(apps::App app, std::shared_ptr<Policy> policy, std::vector<SimTime> arrivals);
 
-  /// Build the lanes, serve until `end` in window-barrier lockstep, finalize
-  /// every lane and merge telemetry. Call exactly once.
+  /// Build the lanes, serve until `end` in window-barrier lockstep (merging
+  /// telemetry at each barrier), finalize every lane and merge the rest.
+  /// Call exactly once.
   void run(SimTime end);
 
   /// The stable partition function: lane of the app with deploy index
@@ -136,11 +140,14 @@ class ShardedPlatform {
 
   void build_lanes();
   void inject_arrivals(Lane& lane, double limit, bool flush_all);
+  /// Hand every lane entry with t < before to options_.telemetry.
+  void merge_telemetry(double before);
 
   ShardOptions options_;
   std::vector<PendingApp> pending_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<AppRef> refs_;
+  std::vector<obs::LaneTelemetry> streams_;  ///< the lanes' logs, when collecting
   bool ran_ = false;
 };
 

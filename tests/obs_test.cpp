@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "math/stats.hpp"
 #include "obs/audit.hpp"
 #include "obs/event_bus.hpp"
+#include "obs/merge.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
@@ -308,4 +310,106 @@ TEST(ObsArtifacts, ByteStableAcrossThreadCounts) {
   long long max_pid = -1;
   for (const auto& e : combined.items()) max_pid = std::max(max_pid, e.get("pid", -1ll));
   EXPECT_GE(max_pid, 3 * 64);  // the 4th cell's range was used
+}
+
+/// Two hand-built lane logs for the merge tests. `phase` 0 is what the lanes
+/// hold at a barrier at T = 2 (entries before T and exactly at T); phase 1 is
+/// what they publish after it (more entries at exactly T, then later ones).
+struct LaneLogs {
+  obs::EventBus bus[2];
+  obs::AuditLog audit[2];
+  std::vector<int> app_map[2] = {{5, 7}, {3}};
+
+  void append(int phase) {
+    auto ev = [&](int lane, double t, int app, int machine, obs::EventType type) {
+      bus[lane].publish({.t = t, .app = app, .machine = machine, .type = type});
+    };
+    auto rec = [&](int lane, double t, int app, const char* chosen) {
+      obs::DecisionRecord r;
+      r.t = t;
+      r.policy = "test";
+      r.kind = "reoptimize";
+      r.app = app;
+      r.chosen = chosen;
+      audit[lane].record(std::move(r));
+    };
+    if (phase == 0) {
+      ev(0, 1.0, 0, 0, obs::EventType::RequestSubmitted);
+      ev(1, 0.5, 0, 1, obs::EventType::InstanceCreated);
+      ev(1, 2.0, 0, -1, obs::EventType::RequestSubmitted);
+      ev(0, 2.0, 1, 1, obs::EventType::InstanceCreated);
+      ev(1, 2.0, -1, 0, obs::EventType::MachineDown);
+      rec(0, 1.5, 1, "a");
+      rec(1, 2.0, 0, "b");
+      rec(0, 2.0, 0, "c");
+    } else {
+      ev(0, 2.0, 0, -1, obs::EventType::PrewarmFired);
+      ev(1, 2.0, 0, 0, obs::EventType::InstanceReady);
+      ev(0, 3.0, 1, 0, obs::EventType::RequestSubmitted);
+      ev(1, 2.5, 0, -1, obs::EventType::RequestFailed);
+      rec(1, 2.0, 0, "d");
+      rec(0, 2.0, 1, "e");
+      rec(1, 4.0, 0, "f");
+    }
+  }
+
+  std::vector<obs::LaneTelemetry> lanes() {
+    return {{&bus[0], &audit[0], &app_map[0], 0}, {&bus[1], &audit[1], &app_map[1], 4}};
+  }
+};
+
+std::string events_text(const obs::EventBus& bus) {
+  std::ostringstream os;
+  for (const obs::Event& e : bus.events())
+    os << e.t << ' ' << obs::event_type_name(e.type) << " app" << e.app << " m" << e.machine
+       << '\n';
+  return os.str();
+}
+
+/// Merging at a barrier cut and then the rest equals one merge of the whole
+/// streams: same order (time, then the lower lane on ties, then per-lane
+/// order), same app/machine remap, and both lane logs end up empty.
+TEST(ObsMerge, BarrierCutThenRestEqualsOneMerge) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LaneLogs whole;
+  whole.append(0);
+  whole.append(1);
+  obs::Telemetry once;
+  obs::merge_lanes(whole.lanes(), once, kInf);
+
+  LaneLogs cut;
+  cut.append(0);
+  obs::Telemetry stepped;
+  obs::merge_lanes(cut.lanes(), stepped, 2.0);
+  // The strict cut hands on only t < T; everything at T waits in the lanes.
+  EXPECT_EQ(events_text(stepped.bus()),
+            "0.5 instance_created app3 m5\n"
+            "1 request_submitted app5 m0\n");
+  ASSERT_EQ(stepped.audit().records().size(), 1u);
+  EXPECT_EQ(stepped.audit().records()[0].chosen, "a");
+  EXPECT_EQ(cut.bus[0].size() + cut.bus[1].size(), 3u);
+  EXPECT_EQ(cut.audit[0].records().size() + cut.audit[1].records().size(), 2u);
+  cut.append(1);
+  obs::merge_lanes(cut.lanes(), stepped, kInf);
+
+  EXPECT_EQ(events_text(stepped.bus()), events_text(once.bus()));
+  EXPECT_EQ(events_text(once.bus()),
+            "0.5 instance_created app3 m5\n"
+            "1 request_submitted app5 m0\n"
+            "2 instance_created app7 m1\n"
+            "2 prewarm_fired app5 m-1\n"
+            "2 request_submitted app3 m-1\n"
+            "2 machine_down app-1 m4\n"
+            "2 instance_ready app3 m4\n"
+            "2.5 request_failed app3 m-1\n"
+            "3 request_submitted app7 m0\n");
+  EXPECT_EQ(stepped.audit_json().dump(), once.audit_json().dump());
+  std::string chosen;
+  for (const auto& r : once.audit().records()) chosen += r.chosen + std::to_string(r.app) + " ";
+  EXPECT_EQ(chosen, "a7 c5 e7 b3 d3 f3 ");
+  EXPECT_EQ(stepped.metrics_json().dump(), once.metrics_json().dump());
+  for (int l = 0; l < 2; ++l) {
+    EXPECT_EQ(cut.bus[l].size(), 0u);
+    EXPECT_TRUE(cut.audit[l].records().empty());
+  }
 }

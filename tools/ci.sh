@@ -167,21 +167,24 @@ lint_step() {
 
 # ThreadSanitizer flavor: the concurrency suite, the exp parallel==serial
 # determinism suite, the lane-equivalence suite (lanes stepped by competing
-# threads), the realtime-driver suite (wall-clock pacing + stop flag cross
-# threads), threads sharing one trained LSTM predictor and the 32-cell sweep
-# smoke must produce zero reports.
+# threads), the multi-lane telemetry golden (lane logs merged on the
+# coordinator between parallel_for rounds), the realtime-driver suite
+# (wall-clock pacing + stop flag cross threads), threads sharing one trained
+# LSTM predictor and the 32-cell sweep smoke must produce zero reports.
 tsan_step() {
   local dir="${prefix}-tsan"
   echo "==== [tsan] configure + build (SMILESS_SANITIZE=thread) ===="
   configure_flavor tsan "${dir}" -DSMILESS_SANITIZE=thread
   cmake --build "${dir}" --target concurrency_test exp_test sharding_test rt_test \
-      predictor_test smiless_cli -j "${jobs}"
+      predictor_test sharded_telemetry_test smiless_cli -j "${jobs}"
   echo "==== [tsan] concurrency_test ===="
   "${dir}/tests/concurrency_test"
   echo "==== [tsan] exp_test (parallel == serial sweep) ===="
   "${dir}/tests/exp_test"
   echo "==== [tsan] sharding_test (lane-equivalence under racing lane threads) ===="
   "${dir}/tests/sharding_test"
+  echo "==== [tsan] sharded_telemetry_test (barrier merges between lane-step rounds) ===="
+  "${dir}/tests/sharded_telemetry_test"
   echo "==== [tsan] rt_test (DES vs realtime equivalence + wall-clock stop flag) ===="
   "${dir}/tests/rt_test"
   echo "==== [tsan] predictor_test (threads sharing one const LSTM predictor) ===="
@@ -372,7 +375,10 @@ EOF
 # --lanes 1 and --lanes 4 (a lone populated lane inherits the whole fleet and
 # the unmixed seed — DESIGN.md §14), with faults and every collector on, and
 # independently of --lane-threads. This is the cross-commit K-invariance
-# contract of the intra-cell sharding layer.
+# contract of the intra-cell sharding layer. A single-app cell populates one
+# lane, so sharded_telemetry_test then checks a 12-app, 4-lane cell's merged
+# telemetry against tests/golden/sharded_telemetry.txt at lane_threads 1 and
+# 4: the cross-commit contract of the cross-lane merge.
 shard_smoke() {
   echo "==== [shard] lanes=1 vs lanes=4: artifact bit-identity ===="
   local dir
@@ -397,6 +403,8 @@ shard_smoke() {
   cmp "${dir}/stdout1.txt" "${dir}/stdout4.txt"
   rm -rf "${dir}"
   echo "[shard] artifacts bit-identical across lane counts OK"
+  echo "==== [shard] multi-lane merged telemetry vs tests/golden/sharded_telemetry.txt ===="
+  "${prefix}/tests/sharded_telemetry_test"
 }
 
 # Serve smoke: `smiless serve` at a high --speedup must replay the same cell
@@ -580,7 +588,7 @@ case "${mode}" in
   shard)
     echo "==== [shard] configure + build ===="
     configure_flavor ci "${prefix}"
-    cmake --build "${prefix}" --target smiless_cli -j "${jobs}"
+    cmake --build "${prefix}" --target smiless_cli sharded_telemetry_test -j "${jobs}"
     shard_smoke
     echo "==== shard green ===="
     exit 0
