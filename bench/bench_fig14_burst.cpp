@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   cfg.trace.quiet_rate = 0.5;
   cfg.trace.peak_rate = 12.0;
   cfg.trace.seed = 37;
+  cfg.platform.record_windows = true;  // the figure is drawn from the window samples
   const auto r =
       shared_runner().run(std::vector<exp::ExperimentConfig>{cfg}).front().result;
 

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   grid.base.trace.quiet_rate = 0.5;
   grid.base.trace.peak_rate = 12.0;
   grid.base.trace.seed = 37;
+  grid.base.platform.record_windows = true;  // peak pods come from the window samples
   grid.policies = headline_policies();
   const auto cells = shared_runner().run(grid);
 

@@ -35,6 +35,7 @@ int main() {
   baselines::PolicySettings settings;
   settings.use_lstm = false;
   baselines::ExperimentOptions run_options;
+  run_options.platform.record_windows = true;  // the live view reads the window samples
   const auto r = baselines::run_experiment(
       app, trace, baselines::make_policy(baselines::PolicyKind::Smiless, app, store, settings),
       run_options);

@@ -61,6 +61,7 @@ CellResult Runner::run_cell(const ExperimentConfig& config,
   options.lanes = config.lanes;
   options.lane_threads = lane_threads;
   options.platform = config.platform;
+  if (!config.obs.windows_out.empty()) options.platform.record_windows = true;
   options.faults = config.faults;
   options.telemetry = telemetry.get();
   options.profiler = profile.get();

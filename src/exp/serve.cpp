@@ -52,6 +52,7 @@ ServeReport serve(const ExperimentConfig& config, const baselines::ProfileStore&
   eopt.drain_slack = config.drain_slack;
   eopt.lanes = 1;
   eopt.platform = config.platform;
+  if (!config.obs.windows_out.empty()) eopt.platform.record_windows = true;
   eopt.faults = config.faults;
   eopt.telemetry = telemetry.get();
   eopt.profiler = profile.get();

@@ -123,8 +123,4 @@ const AppMetrics& Platform::metrics(AppId app) const { return ledger_.metrics(ap
 
 long Platform::in_flight(AppId app) const { return ledger_.in_flight(app); }
 
-const std::vector<int>& Platform::arrival_counts(AppId app) const {
-  return gateway_.arrival_counts(app);
-}
-
 }  // namespace smiless::serverless

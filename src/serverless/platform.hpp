@@ -62,6 +62,11 @@ struct PlatformOptions {
   double request_timeout = std::numeric_limits<double>::infinity();
 
   bool record_traces = false;   ///< keep per-request NodeSpan traces (§IV-A events)
+  /// Keep a WindowSample per app and window in AppMetrics::windows (Fig.
+  /// 14/15, windows.csv). Off, the window tick skips the instance census
+  /// and the append. Set by the readers that want samples — deliberately
+  /// not serialized.
+  bool record_windows = false;
 
   /// Lane id of the hosting platform inside a sharded cell (0 for the
   /// ordinary unsharded platform). Surfaced to routers via RoutingContext
@@ -92,7 +97,7 @@ struct PlatformOptions {
 /// discrete-event engine. Platform is a thin facade over five narrowly
 /// scoped subsystems (see DESIGN.md §12 for the architecture map):
 ///
-///  - Gateway          — arrival intake and the per-app window ticker
+///  - Gateway          — arrival intake and the grouped window ticker
 ///  - RequestTracker   — per-request DAG progress and terminal transitions
 ///  - FunctionScheduler — per-function queues, batching and dispatch
 ///                        (instance selection behind the Router seam)
@@ -182,10 +187,6 @@ class Platform {
   const AppMetrics& metrics(AppId app) const;
   /// Requests still pending (submitted - completed - failed).
   long in_flight(AppId app) const;
-
-  /// Per-window arrival counts observed by the Gateway so far (the series
-  /// the Online Predictor trains on).
-  const std::vector<int>& arrival_counts(AppId app) const;
 
   /// The platform's books: per-instance BillingRecords and metrics.
   const Ledger& ledger() const { return ledger_; }

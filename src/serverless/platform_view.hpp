@@ -66,9 +66,6 @@ class PlatformView {
   }
   const AppMetrics& metrics(AppId app) const { return platform_->metrics(app); }
   long in_flight(AppId app) const { return platform_->in_flight(app); }
-  const std::vector<int>& arrival_counts(AppId app) const {
-    return platform_->arrival_counts(app);
-  }
 
  private:
   friend class Policy;  // the deprecated-shim defaults unwrap the view

@@ -22,6 +22,7 @@ EventId Engine::schedule_at(SimTime t, Callback cb) {
   SMILESS_CHECK(cb != nullptr);
   const EventId id = next_id_++;
   ++stats_.scheduled;
+  if (t == watch_time_) ++watch_hits_;
   if (ref_ != nullptr) {
     ref_->schedule(t, id, std::move(cb));
   } else {

@@ -108,6 +108,22 @@ class Engine {
   /// points depend only on the trajectory, never on the wall clock).
   static constexpr std::uint64_t kSampleInterval = 1ull << 14;
 
+  /// Same-instant watch (DESIGN.md §18). watch(t) aims the engine's one
+  /// watch at time `t` and returns a ticket; watch_quiet(ticket) is true
+  /// while that watch is still aimed there (no later watch() call) and no
+  /// event has been scheduled for exactly `t` since. The grouped window
+  /// ticker uses it to learn whether anything was queued between two ticks
+  /// it wants to share one event. Costs one compare per schedule_at;
+  /// never changes the trajectory.
+  std::uint64_t watch(SimTime t) {
+    watch_time_ = t;
+    watch_hits_ = 0;
+    return ++watch_ticket_;
+  }
+  bool watch_quiet(std::uint64_t ticket) const {
+    return ticket == watch_ticket_ && watch_hits_ == 0;
+  }
+
  private:
   void sample_counters(SimTime t);
 
@@ -117,6 +133,9 @@ class Engine {
   CalendarQueue calendar_;
   std::unique_ptr<ReferenceQueue> ref_;  ///< engaged iff QueueImpl::BinaryHeap
   prof::Profiler* prof_ = nullptr;       ///< optional self-profiler (not owned)
+  SimTime watch_time_ = -1.0;  ///< no event is ever scheduled before 0
+  std::uint64_t watch_hits_ = 0;
+  std::uint64_t watch_ticket_ = 0;
 };
 
 }  // namespace smiless::sim

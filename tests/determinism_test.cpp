@@ -45,6 +45,7 @@ baselines::RunResult run_once(baselines::PolicyKind kind, const apps::App& app,
   options.seed = 4242;
   options.faults = spec;
   options.platform.request_timeout = 90.0;
+  options.platform.record_windows = true;  // the summary covers the window samples
   return baselines::run_experiment(
       app, trace, baselines::make_policy(kind, app, store(), settings), options);
 }

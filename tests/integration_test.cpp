@@ -31,6 +31,7 @@ workload::Trace trace_for(const apps::App& app, std::uint64_t seed, double durat
 ExperimentOptions fast_options() {
   ExperimentOptions o;
   o.drain_slack = 60.0;
+  o.platform.record_windows = true;  // burst and alignment checks read the samples
   return o;
 }
 

@@ -51,6 +51,7 @@ constexpr const char* kGolden = "SMIless|0x1.39079b1c9bf38p-6|0x1.8618618618618p
 
 exp::ExperimentConfig golden_config() {
   exp::ExperimentConfig config;
+  config.platform.record_windows = true;  // the golden summary renders the samples
   config.app = "wl1";
   config.policy = "smiless";
   config.use_lstm = false;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/catalog.hpp"
 #include "cluster/cluster.hpp"
 #include "serverless/platform.hpp"
+#include "serverless/platform_view.hpp"
 #include "sim/engine.hpp"
 
 namespace smiless::serverless {
@@ -33,8 +36,9 @@ struct Fixture {
   PlatformOptions options;
   std::unique_ptr<Platform> platform;
 
-  explicit Fixture(double noise = 0.0) {
+  explicit Fixture(double noise = 0.0, bool record_windows = false) {
     options.inference_noise = noise;
+    options.record_windows = record_windows;
     platform = std::make_unique<Platform>(engine, cluster, perf::Pricing{}, rng, options);
   }
 };
@@ -241,7 +245,7 @@ TEST(Platform, BillingMatchesLifetimeTimesUnitPrice) {
 }
 
 TEST(Platform, WindowSamplesRecordArrivals) {
-  Fixture f;
+  Fixture f(0.0, /*record_windows=*/true);
   const auto id = f.platform->deploy(apps::make_voice_assistant(),
                                      std::make_shared<FixedPolicy>(warm_plan()));
   f.platform->submit_request(id, 0.5);
@@ -249,12 +253,148 @@ TEST(Platform, WindowSamplesRecordArrivals) {
   f.platform->submit_request(id, 2.5);
   f.engine.run_until(5.0);
 
-  const auto& counts = f.platform->arrival_counts(id);
-  ASSERT_GE(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 2);
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_EQ(counts[2], 1);
+  const auto& samples = f.platform->metrics(id).windows;
+  ASSERT_GE(samples.size(), 3u);
+  EXPECT_EQ(samples[0].window_start, 0.0);
+  EXPECT_EQ(samples[0].arrivals, 2);
+  EXPECT_EQ(samples[1].window_start, 1.0);
+  EXPECT_EQ(samples[1].arrivals, 0);
+  EXPECT_EQ(samples[2].window_start, 2.0);
+  EXPECT_EQ(samples[2].arrivals, 1);
   f.platform->finalize(5.0);
+}
+
+/// One on_window call as the policy saw it.
+struct Tick {
+  AppId app;
+  SimTime now;
+  WindowStats stats;
+};
+
+/// Installs warm plans and logs every window it is told about.
+class TickRecorder : public Policy {
+ public:
+  explicit TickRecorder(std::vector<Tick>* log) : log_(log) {}
+  std::string name() const override { return "tick-recorder"; }
+  void on_deploy(AppId app, const apps::App& spec, PlatformView& p) override {
+    for (std::size_t n = 0; n < spec.dag.size(); ++n)
+      p.set_plan(app, static_cast<dag::NodeId>(n), warm_plan());
+  }
+  void on_window(AppId app, const apps::App&, PlatformView& p,
+                 const WindowStats& stats) override {
+    log_->push_back({app, p.now(), stats});
+  }
+
+ private:
+  std::vector<Tick>* log_;
+};
+
+TEST(Platform, WindowSamplesAreOptIn) {
+  Fixture f;
+  std::vector<Tick> ticks;
+  const auto id = f.platform->deploy(apps::make_voice_assistant(),
+                                     std::make_shared<TickRecorder>(&ticks));
+  f.platform->submit_request(id, 0.5);
+  f.engine.run_until(5.0);
+  f.platform->finalize(5.0);
+  EXPECT_TRUE(f.platform->metrics(id).windows.empty());
+  ASSERT_EQ(ticks.size(), 5u);  // the policy still sees every window
+  EXPECT_EQ(ticks[0].stats.arrivals, 1);
+}
+
+/// Tick semantics: three apps deployed at t=0 and one at t=0.5. At every
+/// boundary on_window runs in deploy order; the late app closes its own
+/// windows [0.5 + k, 1.5 + k); halt() stops every app's ticks.
+TEST(Platform, WindowTicksRunInDeployOrderAndHaltStopsThemAll) {
+  Fixture f;
+  std::vector<Tick> ticks;
+  const auto policy = std::make_shared<TickRecorder>(&ticks);
+  std::vector<AppId> early;
+  for (int i = 0; i < 3; ++i)
+    early.push_back(f.platform->deploy(apps::make_voice_assistant(), policy));
+  AppId late = -1;
+  f.engine.schedule_at(0.5, [&] {
+    late = f.platform->deploy(apps::make_voice_assistant(), policy);
+    f.platform->submit_request(late, 0.7);
+    f.platform->submit_request(late, 2.9);
+  });
+  f.platform->submit_request(early[1], 0.3);
+  f.platform->submit_request(early[1], 1.2);
+  constexpr double kEnd = 60.0;
+  f.engine.run_until(kEnd);
+  ASSERT_EQ(late, 3);
+
+  // 60 boundaries for the early apps, 59 (1.5 .. 59.5) for the late one.
+  ASSERT_EQ(ticks.size(), 60u * 3u + 59u);
+  std::size_t i = 0;
+  for (int k = 1; k <= 60; ++k) {
+    for (const AppId app : early) {
+      SCOPED_TRACE("boundary " + std::to_string(k) + " app " + std::to_string(app));
+      const Tick& t = ticks[i++];
+      EXPECT_EQ(t.app, app);
+      EXPECT_EQ(t.now, static_cast<double>(k));
+      EXPECT_EQ(t.stats.window_end, static_cast<double>(k));
+      EXPECT_EQ(t.stats.window_start, static_cast<double>(k - 1));
+      const int expected = app == early[1] && k <= 2 ? 1 : 0;
+      EXPECT_EQ(t.stats.arrivals, expected);
+    }
+    if (k == 60) break;
+    SCOPED_TRACE("late app, boundary " + std::to_string(k) + ".5");
+    const Tick& t = ticks[i++];
+    EXPECT_EQ(t.app, late);
+    EXPECT_EQ(t.now, k + 0.5);
+    EXPECT_EQ(t.stats.window_end, k + 0.5);
+    EXPECT_EQ(t.stats.window_start, k - 0.5);
+    EXPECT_EQ(t.stats.arrivals, k == 1 || k == 3 ? 1 : 0);
+  }
+
+  f.platform->finalize(kEnd);
+  f.engine.run_until(kEnd + 20.0);
+  EXPECT_EQ(ticks.size(), 60u * 3u + 59u);
+}
+
+/// Logs ticks by name; app 1's tick at t=2 queues an event for exactly the
+/// next boundary, as a policy timer landing on a boundary would.
+class BoundaryInterloper : public Policy {
+ public:
+  BoundaryInterloper(sim::Engine* engine, std::vector<std::string>* log)
+      : engine_(engine), log_(log) {}
+  std::string name() const override { return "boundary-interloper"; }
+  void on_deploy(AppId app, const apps::App& spec, PlatformView& p) override {
+    for (std::size_t n = 0; n < spec.dag.size(); ++n)
+      p.set_plan(app, static_cast<dag::NodeId>(n), warm_plan());
+  }
+  void on_window(AppId app, const apps::App&, PlatformView& p, const WindowStats&) override {
+    log_->push_back("tick" + std::to_string(app) + "@" + std::to_string(static_cast<int>(p.now())));
+    if (app == 1 && p.now() == 2.0)
+      engine_->schedule_at(3.0, [log = log_] { log->push_back("X@3"); });
+  }
+
+ private:
+  sim::Engine* engine_;
+  std::vector<std::string>* log_;
+};
+
+/// Events queued for exactly a boundary keep their place between the apps'
+/// ticks: one queued between two deploys fires after the earlier app's tick
+/// and before the later one's, and one queued by an on_window fires after
+/// the ticks of the apps before it and before the queuing app's own.
+TEST(Platform, BoundaryEventsKeepTheirPlaceBetweenAppTicks) {
+  Fixture f;
+  std::vector<std::string> log;
+  const auto policy = std::make_shared<BoundaryInterloper>(&f.engine, &log);
+  f.platform->deploy(apps::make_voice_assistant(), policy);
+  f.platform->deploy(apps::make_voice_assistant(), policy);
+  f.engine.schedule_at(1.0, [&log] { log.push_back("Y@1"); });
+  f.platform->deploy(apps::make_voice_assistant(), policy);
+  f.engine.run_until(3.5);
+  f.platform->finalize(3.5);
+  const std::vector<std::string> expected = {
+      "tick0@1", "tick1@1", "Y@1",     "tick2@1",  // Y was queued between deploys
+      "tick0@2", "tick1@2", "tick2@2",             //
+      "tick0@3", "X@3",     "tick1@3", "tick2@3",  // X was queued by app 1's tick
+  };
+  EXPECT_EQ(log, expected);
 }
 
 TEST(Platform, InFlightTracksUnfinishedRequests) {

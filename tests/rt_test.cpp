@@ -198,6 +198,7 @@ TEST(Drivers, InterruptedDriveStopsWithoutFlushing) {
 
 exp::ExperimentConfig small_cell() {
   exp::ExperimentConfig config;
+  config.platform.record_windows = true;  // fingerprints compare the window samples
   config.app = "wl1";
   config.policy = "smiless";
   config.use_lstm = false;

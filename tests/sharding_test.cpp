@@ -14,10 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "apps/catalog.hpp"
 #include "baselines/experiment.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
 #include "obs/telemetry.hpp"
+#include "serverless/platform_view.hpp"
 #include "serverless/sharding.hpp"
 #include "workload/trace.hpp"
 
@@ -71,6 +73,7 @@ exp::ExperimentConfig cell(const std::string& policy, std::uint64_t seed, int la
   c.trace.seed = seed;
   c.trace.duration = 120.0;
   c.lanes = lanes;
+  c.platform.record_windows = true;  // expect_same_result compares the samples
   c.faults.init_failure_prob = 0.05;
   c.faults.straggler_prob = 0.02;
   c.faults.crash_rate = 0.0005;
@@ -151,6 +154,7 @@ baselines::ExperimentOptions sharded_options(obs::Telemetry* tel, int lanes,
   o.faults.init_failure_prob = 0.03;
   o.faults.straggler_prob = 0.01;
   o.telemetry = tel;
+  o.platform.record_windows = true;  // expect_same_result compares the samples
   return o;
 }
 
@@ -197,6 +201,68 @@ TEST(Sharding, MultiAppShardIsInvariantInLaneThreads) {
     }
     expect_same_telemetry(serial_tel, tel);
   }
+}
+
+/// Warm plans on deploy; logs the arrival count of every window it is told
+/// about, which is what a policy reading WindowStats acts on.
+class WindowCountLog : public serverless::Policy {
+ public:
+  explicit WindowCountLog(std::vector<int>* seen) : seen_(seen) {}
+  std::string name() const override { return "window-count-log"; }
+  void on_deploy(serverless::AppId app, const apps::App& spec,
+                 serverless::PlatformView& p) override {
+    serverless::FunctionPlan plan;
+    plan.config = {perf::Backend::Cpu, 4, 0};
+    plan.keepalive = serverless::FunctionPlan::forever();
+    for (std::size_t n = 0; n < spec.dag.size(); ++n)
+      p.set_plan(app, static_cast<dag::NodeId>(n), plan);
+  }
+  void on_window(serverless::AppId, const apps::App&, serverless::PlatformView&,
+                 const serverless::WindowStats& stats) override {
+    seen_->push_back(stats.arrivals);
+  }
+
+ private:
+  std::vector<int>* seen_;
+};
+
+/// Arrivals at exactly a window boundary belong to the window the boundary
+/// opens, [k, k+1), on both paths. The monolithic path queues every arrival
+/// before the ticks after the first, the sharded path injects them after the
+/// tick, so this trace used to split into 1,2,1,1,1,0 (monolithic) and
+/// 1,1,1,2,0,1 (sharded).
+TEST(Sharding, BoundaryArrivalsCountInTheWindowTheyOpen) {
+  workload::Trace trace;
+  trace.window = 1.0;
+  trace.arrivals = {0.5, 1.0, 2.0, 3.0, 3.5, 5.0};
+  trace.counts = {1, 1, 1, 2, 0, 1};
+  const std::vector<int> expected = {1, 1, 1, 2, 0, 1};
+
+  baselines::ExperimentOptions options;
+  options.seed = 11;
+  options.drain_slack = 30.0;
+  options.platform.record_windows = true;
+  const auto run = [&](bool sharded, std::vector<int>* seen) {
+    std::vector<baselines::ColocatedApp> cell;
+    cell.push_back({apps::make_voice_assistant(), &trace, std::make_shared<WindowCountLog>(seen)});
+    return sharded ? baselines::run_sharded(std::move(cell), options).front()
+                   : baselines::run_colocated(std::move(cell), options).front();
+  };
+  std::vector<int> mono_seen, lane_seen;
+  const auto mono = run(false, &mono_seen);
+  const auto lane = run(true, &lane_seen);
+
+  expect_same_result(mono, lane);
+  EXPECT_EQ(mono_seen, lane_seen);
+  ASSERT_GE(mono.windows.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    SCOPED_TRACE("window " + std::to_string(k));
+    EXPECT_EQ(mono.windows[k].window_start, static_cast<double>(k));
+    EXPECT_EQ(mono.windows[k].arrivals, expected[k]);
+    EXPECT_EQ(mono_seen[k], expected[k]);
+  }
+  EXPECT_EQ(mono.submitted, 6);
+  EXPECT_EQ(mono.completed, 6);
 }
 
 /// The partition itself is a pure function: stable across calls, total over

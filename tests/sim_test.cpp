@@ -111,6 +111,22 @@ TEST(Engine, CancelPreventsExecution) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Engine, WatchSeesOnlyEventsForItsInstantUntilReaimed) {
+  Engine e;
+  const std::uint64_t ticket = e.watch(5.0);
+  EXPECT_TRUE(e.watch_quiet(ticket));
+  e.schedule_at(4.0, [] {});
+  e.schedule_at(6.0, [] {});
+  EXPECT_TRUE(e.watch_quiet(ticket));
+  e.schedule_at(5.0, [] {});
+  EXPECT_FALSE(e.watch_quiet(ticket));
+
+  const std::uint64_t again = e.watch(5.0);
+  EXPECT_TRUE(e.watch_quiet(again));
+  e.watch(7.0);  // re-aimed: the old ticket no longer vouches for 5.0
+  EXPECT_FALSE(e.watch_quiet(again));
+}
+
 TEST(Engine, ScheduleAfterIsRelative) {
   Engine e;
   double seen = -1.0;

@@ -17,6 +17,7 @@
 #   tools/ci.sh shard      # lanes=1 vs lanes=4 artifact bit-identity smoke
 #   tools/ci.sh obs        # observability artifacts + HTML report + profiler smoke
 #   tools/ci.sh serve      # wall-clock serve mode vs DES equivalence smoke
+#   tools/ci.sh pins       # benchmark fleets vs the fingerprints in perfbench/pins.json
 #   tools/ci.sh full /tmp/ci
 set -euo pipefail
 
@@ -25,7 +26,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 cd "${repo}"
 mode="full"
 case "${1:-}" in
-  lint|tsan|golden|bench|shard|obs|serve|full) mode="$1"; shift ;;
+  lint|tsan|golden|bench|shard|obs|serve|pins|full) mode="$1"; shift ;;
 esac
 prefix="${1:-${repo}/build-ci}"
 jobs="$(nproc 2>/dev/null || echo 4)"
@@ -558,6 +559,38 @@ EOF
   echo "[bench] throughput smoke green"
 }
 
+# Pin smoke: the repository benchmark's two fleets must reproduce the
+# outcome fingerprints pinned in perfbench/pins.json at seeds 0 and 42. A
+# fingerprint covers every app's completed and failed counts, E2E sum and
+# ledger cost bit for bit, so a change to the order events fire in anywhere
+# on the platform fails here, not only when the benchmark runs. perfbench/
+# is only read: perfbench_cell is built into a temporary directory.
+pins_smoke() {
+  echo "==== [pins] benchmark fleets vs perfbench/pins.json ===="
+  local dir
+  dir="$(mktemp -d)"
+  cmake -S "${repo}/perfbench" -B "${dir}/build" -DCMAKE_BUILD_TYPE=Release > /dev/null
+  cmake --build "${dir}/build" --target perfbench_cell -j "${jobs}" > /dev/null
+  local workload seed
+  for workload in fleet-keepwarm fleet-sharded-obs; do
+    for seed in 0 42; do
+      "${dir}/build/perfbench_cell" run --workload "${workload}" --seed "${seed}" \
+          > "${dir}/run.json"
+      python3 - "${repo}/perfbench/pins.json" "${dir}/run.json" "${workload}" "${seed}" <<'EOF'
+import json, sys
+pins, run, workload, seed = sys.argv[1:]
+want = json.load(open(pins))[workload][seed]
+with open(run) as f:
+    got = json.loads(f.read().strip().splitlines()[-1])["fingerprint"]
+assert got == want, f"{workload} seed {seed}: fingerprint {got} != pinned {want}"
+print(f"[pins] {workload} seed {seed}: {got.split()[0]} OK")
+EOF
+    done
+  done
+  rm -rf "${dir}"
+  echo "[pins] fingerprints match perfbench/pins.json OK"
+}
+
 case "${mode}" in
   lint)
     lint_step
@@ -611,6 +644,11 @@ case "${mode}" in
     echo "==== serve green ===="
     exit 0
     ;;
+  pins)
+    pins_smoke
+    echo "==== pins green ===="
+    exit 0
+    ;;
 esac
 
 run_flavor default ci "${prefix}"
@@ -621,6 +659,7 @@ obs_smoke
 shard_smoke
 serve_smoke
 bench_smoke
+pins_smoke
 run_flavor asan asan "${prefix}-asan" -DSMILESS_SANITIZE=address
 run_flavor ubsan ubsan "${prefix}-ubsan" -DSMILESS_SANITIZE=undefined
 tsan_step
