@@ -48,11 +48,10 @@ struct ExperimentOptions {
   std::uint64_t seed = 42;
   double drain_slack = 120.0;  ///< extra sim time to drain in-flight requests
 
-  /// Intra-cell sharding (DESIGN.md §14). 1 runs the classic monolithic
-  /// simulation; > 1 hash-partitions the apps into that many deterministic
-  /// lanes (run_colocated then delegates to run_sharded). Output is
-  /// bit-identical at any lane_threads; a single-app deployment is
-  /// invariant in lanes.
+  /// Intra-cell sharding (DESIGN.md §14): the apps are hash-partitioned
+  /// into this many deterministic lanes; 1 puts every app in one lane over
+  /// the whole testbed. Output is bit-identical at any lane_threads; a
+  /// single-app deployment is invariant in lanes.
   int lanes = 1;
   /// Threads stepping the lanes between window barriers (0 = hardware
   /// concurrency, 1 = serial). Wall-clock only — never changes results.
@@ -84,21 +83,17 @@ struct ExperimentOptions {
   double series_cadence = 0.0;
 
   /// Optional driver seam (non-owning; must outlive the run; DESIGN.md
-  /// §16). Null pumps the classic way: every arrival scheduled upfront,
-  /// engine free-run to the horizon — byte-identical to the pre-seam path.
-  /// Non-null hands the pump to the driver and feeds arrivals through a
-  /// streaming WorkSource (rt::TraceReplayer over the same traces), so a
-  /// pacing driver sees each arrival no earlier than its due time — the
-  /// live-serving mode. Requires lanes == 1 (pacing a window-barrier
-  /// sharded world is a different problem).
+  /// §16). Null steps the lanes window barrier by window barrier. Non-null
+  /// hands the lone populated lane's engine and ArrivalSource to the
+  /// driver, so a pacing driver sees each arrival no earlier than its due
+  /// time — the live-serving mode. A cell that populates more than one
+  /// lane raises a CheckError.
   sim::Driver* driver = nullptr;
 
-  /// Export internal queue diagnostics (CalendarStats, engine counters
-  /// already mirrored) into the telemetry metric registry. Off by default
-  /// because calendar internals legitimately differ between the monolithic
-  /// (upfront-scheduling) and sharded (streaming-injection) paths even when
-  /// trajectories are bit-identical — opting in makes --metrics-out
-  /// path-revealing.
+  /// Export internal queue diagnostics (CalendarStats) into the telemetry
+  /// metric registry. Off by default because they describe how the queue
+  /// sized itself, not the trajectory: a driver-paced run and a barrier run
+  /// of the same cell differ there even though every outcome is identical.
   bool internal_stats = false;
 };
 
@@ -121,6 +116,8 @@ struct RunResult {
   double cpu_core_seconds = 0.0;
   double gpu_pct_seconds = 0.0;
   std::vector<serverless::WindowSample> windows;
+  /// Per-request traces, when PlatformOptions::record_traces is set.
+  std::vector<serverless::RequestTrace> traces;
 
   /// Fraction of submitted requests that completed.
   double goodput() const {
@@ -143,20 +140,14 @@ struct ColocatedApp {
 
 /// The paper's actual setup (§VII-A): every application runs on the *same*
 /// 8-machine cluster with its own load generator, all simultaneously, so
-/// the policies contend for CPU cores and GPU slices. Returns one
-/// RunResult per application, in input order.
+/// the policies contend for CPU cores and GPU slices. The cell runs on a
+/// serverless::ShardedPlatform: apps are hash-partitioned into
+/// `options.lanes` deterministic lanes, each a full private world over a
+/// slice of the testbed, advanced in window-barrier lockstep (or paced by
+/// `options.driver`). Returns one RunResult per application, in input
+/// order.
 std::vector<RunResult> run_colocated(std::vector<ColocatedApp> apps,
                                      const ExperimentOptions& options);
-
-/// The sharded flavor of run_colocated: apps are hash-partitioned into
-/// `options.lanes` deterministic lanes, each a full private world over a
-/// slice of the 8-machine testbed, advanced in window-barrier lockstep (see
-/// serverless::ShardedPlatform). With `options.lanes == 1` — or any cell
-/// whose apps land in a single lane — this reproduces run_colocated's
-/// trajectory exactly. run_colocated calls this itself when lanes > 1;
-/// calling it directly is for tests and the throughput bench.
-std::vector<RunResult> run_sharded(std::vector<ColocatedApp> apps,
-                                   const ExperimentOptions& options);
 
 /// The policy zoo of the evaluation section.
 enum class PolicyKind {
@@ -185,7 +176,9 @@ struct PolicySettings {
   std::shared_ptr<ThreadPool> pool;
   /// Required for PolicyKind::Opt: the exact arrival process.
   const workload::Trace* oracle_trace = nullptr;
-  /// Optional decision audit log attached to SMIless-family policies.
+  /// Optional decision audit log attached to SMIless-family policies. A run
+  /// that collects telemetry records decisions into the telemetry's log
+  /// instead (serverless::ShardOptions::telemetry).
   obs::AuditLog* audit = nullptr;
 };
 

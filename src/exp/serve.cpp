@@ -13,9 +13,6 @@ namespace smiless::exp {
 
 ServeReport serve(const ExperimentConfig& config, const baselines::ProfileStore& store,
                   std::shared_ptr<ThreadPool> policy_pool, const ServeOptions& options) {
-  if (config.lanes != 1)
-    throw std::runtime_error("serve drives the monolithic engine; set lanes = 1");
-
   // Materialize the cell exactly as Runner::run_cell does — same
   // construction order, so the trajectory only depends on the config.
   const apps::App app = resolve_app(config);
@@ -50,7 +47,7 @@ ServeReport serve(const ExperimentConfig& config, const baselines::ProfileStore&
   baselines::ExperimentOptions eopt;
   eopt.seed = config.seed;
   eopt.drain_slack = config.drain_slack;
-  eopt.lanes = 1;
+  eopt.lanes = config.lanes;
   eopt.platform = config.platform;
   if (!config.obs.windows_out.empty()) eopt.platform.record_windows = true;
   eopt.faults = config.faults;

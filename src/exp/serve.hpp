@@ -43,13 +43,14 @@ struct ServeReport {
 /// Run one cell in live-serving mode (DESIGN.md §16): the same experiment
 /// materialization as Runner::run_cell — same app/trace/policy/telemetry
 /// construction for the same config — but the pump is an rt::RealTimeDriver
-/// pacing the engine against the wall clock while an rt::TraceReplayer
-/// streams the trace through the Gateway intake. By the Clock contract the
-/// books in `cell.result` match the DES run of the same config (the CI
-/// serve smoke diffs the two summary tables).
+/// pacing the cell's lone lane against the wall clock while the lane's
+/// ArrivalSource streams the trace through the Gateway intake. A serve cell
+/// holds one app, so it populates one lane at any `lanes`. By the Clock
+/// contract the books in `cell.result` match the DES run of the same config
+/// (the CI serve smoke diffs the two summary tables).
 ///
-/// Throws std::runtime_error for configs serve cannot drive (lanes != 1) or
-/// that run_cell would reject (unknown app/policy).
+/// Throws std::runtime_error for configs run_cell would reject (unknown
+/// app/policy).
 ServeReport serve(const ExperimentConfig& config, const baselines::ProfileStore& store,
                   std::shared_ptr<ThreadPool> policy_pool, const ServeOptions& options);
 

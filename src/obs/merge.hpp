@@ -33,9 +33,9 @@ struct LaneTelemetry {
 /// stream is nondecreasing in t, so this is a stable time-merge with the
 /// lane index breaking cross-lane ties — and re-published through dst's bus,
 /// so dst's online sinks (metric registry, queue-wait bookkeeping, series)
-/// observe the merged stream exactly as if one monolithic platform had
-/// produced it. Audit records merge under the same (t, lane, order) rule
-/// with their app field remapped.
+/// observe the merged stream exactly as if one platform had produced it.
+/// Audit records merge under the same (t, lane, order) rule with their app
+/// field remapped.
 ///
 /// Merging incrementally is exact under one precondition: nothing published
 /// to a lane after the call has t < before. ShardedPlatform calls this at

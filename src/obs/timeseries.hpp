@@ -26,7 +26,7 @@
 /// destination Telemetry by obs::merge_lanes in deterministic (t, lane,
 /// order) order, one window barrier at a time, so a series attached to the
 /// merged Telemetry is the merge-associative fold of the lane streams:
-/// series(merge(lanes)) == series(monolithic stream) whenever the streams
+/// series(merge(lanes)) == series(one lane's stream) whenever the streams
 /// are equal, which the sharding invariance suite asserts.
 ///
 /// The cadence is a serialized experiment knob (ExperimentConfig::obs);

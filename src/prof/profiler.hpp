@@ -24,8 +24,10 @@
 /// construction rather than by luck.
 ///
 /// A Profiler is deliberately NOT thread-safe: each sharded lane owns a
-/// private Profiler and the coordinator merges them after the barrier
-/// (merge() keeps a per-lane breakdown). Everything is zero-overhead when
+/// private Profiler and the coordinator merges them after the run
+/// (merge() keeps a per-lane breakdown); a lane working on the
+/// coordinator's thread nests in its open scope (nest_in) so no interval is
+/// timed twice. Everything is zero-overhead when
 /// the `prof::Profiler*` hanging off PlatformOptions / RunnerOptions is
 /// null: ScopeTimer degenerates to a single pointer test.
 ///
@@ -99,7 +101,7 @@ struct SiteAgg {
 };
 
 /// One sampled counter observation. `sim_t` is simulation seconds; `lane`
-/// is the owning lane (-1 = monolithic / coordinator).
+/// is the owning lane (-1 = not a lane: the coordinator or a bare Platform).
 struct CounterSample {
   double sim_t = 0.0;
   std::int32_t counter = 0;
@@ -123,10 +125,19 @@ json::Value snapshot_to_json(const Snapshot& s);
 class Profiler {
  public:
   /// `lane` tags this profiler's counter samples and its slot in a merged
-  /// per-lane breakdown; -1 means "monolithic / coordinator".
+  /// per-lane breakdown; -1 means "not a lane" (the coordinator, or the
+  /// profiler of a bare Platform).
   explicit Profiler(int lane = -1) : lane_(lane) {}
 
   int lane() const { return lane_; }
+
+  /// Nest this profiler's outermost scopes in `host`'s innermost open scope
+  /// (null: stand alone). A lane working on the coordinator's own thread
+  /// charges each top-level scope to the coordinator frame it ran under, so
+  /// that frame's exclusive time leaves the interval out and Σ exclusive
+  /// over the merged profilers still equals the root. A lane on a worker
+  /// thread must not nest: its time overlaps the coordinator's.
+  void nest_in(Profiler* host) { host_ = host; }
 
   /// Scope stack (driven by ScopeTimer; callable directly for irregular
   /// scopes). Max nesting depth is fixed: the instrumented call graph is
@@ -145,7 +156,11 @@ class Profiler {
     ++a.count;
     a.inclusive_ns += dt;
     a.exclusive_ns += dt >= f.child_ns ? dt - f.child_ns : 0;
-    if (depth_ > 0) frames_[depth_ - 1].child_ns += dt;
+    if (depth_ > 0) {
+      frames_[depth_ - 1].child_ns += dt;
+    } else if (host_ != nullptr && host_->depth_ > 0) {
+      host_->frames_[host_->depth_ - 1].child_ns += dt;
+    }
   }
 
   /// Record one deterministic (sim_t, value) counter observation.
@@ -195,6 +210,7 @@ class Profiler {
   static constexpr std::size_t kMaxDepth = 64;
 
   int lane_ = -1;
+  Profiler* host_ = nullptr;  ///< see nest_in; not owned
   std::array<Frame, kMaxDepth> frames_{};
   std::size_t depth_ = 0;
   std::array<SiteAgg, kSiteCount> sites_{};

@@ -36,7 +36,7 @@ void RealTimeDriver::drive(sim::Engine& engine, sim::WorkSource* source, SimTime
     ++stats_.batches;
   }
   // Tail: flush post-horizon source work and advance the clock to `end`, so
-  // scheduled-event tallies and engine.now() match the upfront DES run.
+  // the scheduled-event tally and engine.now() match the barrier run.
   if (source != nullptr) source->flush();
   engine.run_until(end);
 }

@@ -14,16 +14,17 @@ struct DriveStats {
   bool interrupted = false;      ///< clock stopped the drive before `end`
 };
 
-/// The live-serving driver (DESIGN.md §16): pumps the *same* engine event
-/// queue as DesDriver, one sim instant at a time, pacing each instant
-/// against a Clock and streaming WorkSource injections in no later than
-/// their due times. With sim::ImmediateClock this is an alternate DES pump;
-/// with rt::WallClock it is a serving loop.
+/// The live-serving driver (DESIGN.md §16): pumps a lane's engine event
+/// queue one sim instant at a time, pacing each instant against a Clock and
+/// streaming WorkSource injections in no later than their due times. With
+/// sim::ImmediateClock this is an alternate DES pump; with rt::WallClock it
+/// is a serving loop.
 ///
 /// Per the Clock contract (the clock only delays, never reorders), the sim
-/// trajectory produced here matches the upfront DesDriver run: same request
-/// terminal states, same ledger totals, same event counts. The equivalence
-/// suite in tests/rt_test.cpp holds the two drivers to that.
+/// trajectory produced here matches the window-barrier run of the same
+/// cell: same request terminal states, same ledger totals, same event
+/// counts. The equivalence suite in tests/rt_test.cpp holds the two pumps
+/// to that.
 class RealTimeDriver final : public sim::Driver {
  public:
   /// `clock` must outlive the driver. Not owned.
@@ -36,8 +37,8 @@ class RealTimeDriver final : public sim::Driver {
   /// clock to reach that instant, injects anything due, and fires the
   /// batch. If the clock interrupts, returns early with the engine clock
   /// wherever it got to (stats().interrupted is set); otherwise finishes
-  /// with a tail flush so the trajectory matches the upfront run even if
-  /// the source still holds post-horizon arrivals.
+  /// with a tail flush so the scheduled-event tally matches the barrier run
+  /// even if the source still holds post-horizon arrivals.
   void drive(sim::Engine& engine, sim::WorkSource* source, SimTime end) override;
 
   const DriveStats& stats() const { return stats_; }

@@ -113,7 +113,7 @@ void Gateway::submit(AppId app, SimTime arrival) {
 
 void Gateway::admit(AppId app, bool requeued) {
   AppWindows& w = windows(app);
-  // An arrival queued before its boundary's tick (every upfront-scheduled
+  // An arrival queued before its boundary's tick (every upfront-submitted
   // arrival at exactly k·w, k >= 2) fires ahead of it. Requeue it once at
   // the same instant: the tick was queued earlier, so it now goes first.
   if (!requeued && w.group >= 0 && engine_.now() >= groups_[w.group].next_end) {

@@ -68,12 +68,6 @@ class PlatformView {
   long in_flight(AppId app) const { return platform_->in_flight(app); }
 
  private:
-  friend class Policy;  // the deprecated-shim defaults unwrap the view
-
-  /// @deprecated Escape hatch for the one-release Platform& shims in
-  /// Policy; goes away with them.
-  Platform& unscoped() const { return *platform_; }
-
   Platform* platform_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,15 +14,15 @@
 #include "obs/merge.hpp"
 #include "obs/telemetry.hpp"
 #include "prof/profiler.hpp"
+#include "serverless/arrival_source.hpp"
 #include "sim/lane_engine.hpp"
-#include "workload/arrival_cursor.hpp"
 
 namespace smiless::serverless {
 
-/// One lane's private world. Member order is construction order and mirrors
-/// the monolithic run: Engine, Cluster, Rng, FaultInjector (which forks its
-/// child stream off the lane Rng iff any fault knob is set), then Platform —
-/// so a lone populated lane consumes its RNG exactly like the unsharded run.
+/// One lane's private world. Member order is construction order: Engine,
+/// Cluster, Rng, FaultInjector (which forks its child stream off the lane Rng
+/// iff any fault knob is set), then Platform — so a lone populated lane
+/// consumes the cell seed's stream exactly as every golden pinned it.
 struct ShardedPlatform::Lane {
   int id;
   sim::LaneEngine engine;
@@ -29,17 +30,15 @@ struct ShardedPlatform::Lane {
   int machine_base;
   Rng rng;
   faults::FaultInjector injector;
-  // Bare logs, used only when the cell collects telemetry: no sinks, no
-  // registry, no series. Every window barrier hands their prefix to the
-  // cell's Telemetry and drops it (obs::merge_lanes).
+  // Bare logs, used only when the cell collects telemetry over several
+  // lanes: no sinks, no registry, no series. Every window barrier hands
+  // their prefix to the cell's Telemetry and drops it (obs::merge_lanes).
   obs::EventBus bus;
   obs::AuditLog audit;
   std::unique_ptr<prof::Profiler> prof;  ///< private: profilers are not thread-safe
   std::unique_ptr<Platform> platform;
-  std::vector<int> app_map;                  ///< lane-local app id -> global
-  std::vector<AppId> ids;                    ///< lane-local deploy handles
-  std::vector<std::vector<SimTime>> arrivals;  ///< per lane-local app, sorted
-  std::vector<workload::ArrivalCursor> cursors;  ///< streaming position per app
+  std::optional<ArrivalSource> arrivals;  ///< the lane's WorkSource, over `platform`
+  std::vector<int> app_map;               ///< lane-local app id -> global
 
   Lane(int lane_id, std::size_t machines, cluster::MachineSpec spec, int base,
        std::uint64_t seed, faults::FaultSpec fspec)
@@ -63,7 +62,6 @@ int ShardedPlatform::add_app(apps::App app, std::shared_ptr<Policy> policy,
                              std::vector<SimTime> arrivals) {
   SMILESS_CHECK_MSG(!ran_, "add_app after run()");
   SMILESS_CHECK(policy != nullptr);
-  SMILESS_CHECK(std::is_sorted(arrivals.begin(), arrivals.end()));
   pending_.push_back({std::move(app), std::move(policy), std::move(arrivals)});
   return static_cast<int>(pending_.size()) - 1;
 }
@@ -93,6 +91,12 @@ void ShardedPlatform::build_lanes() {
                     "more populated lanes (" << populated.size() << ") than machines ("
                                              << options_.machines << ")");
 
+  // A lone populated lane's ids already are the cell's (every app, deployed
+  // in global order, on the whole fleet from machine 0), so it publishes
+  // straight into the cell's Telemetry, live, as a pacing driver needs.
+  // Several lanes keep bare private logs that every barrier merges.
+  const bool merged = options_.telemetry != nullptr && populated.size() > 1;
+
   const std::size_t base_machines = options_.machines / populated.size();
   const std::size_t extra = options_.machines % populated.size();
   int machine_base = 0;
@@ -104,7 +108,7 @@ void ShardedPlatform::build_lanes() {
 
     // Lane seed: decorrelate lanes by their first member's global index.
     // Mixing with index 0 is the identity, so a lone populated lane (every
-    // single-app cell, and every K=1 run) replays the monolithic stream.
+    // single-app cell, and every K=1 run) draws from the cell seed itself.
     const std::uint64_t lane_seed =
         options_.seed ^
         (static_cast<std::uint64_t>(mine.front()) * 0x9E3779B97F4A7C15ull);
@@ -122,15 +126,18 @@ void ShardedPlatform::build_lanes() {
                                        lane_seed, std::move(fspec));
     if (options_.prof != nullptr) {
       lane->prof = std::make_unique<prof::Profiler>(lane_id);
+      lane->prof->nest_in(options_.prof);  // deploy and finalize run on this thread
       lane->engine.engine().set_profiler(lane->prof.get());
     }
     PlatformOptions popt = options_.platform;
     popt.lane = lane_id;
     popt.faults = lane->injector.enabled() ? &lane->injector : nullptr;
-    popt.bus = options_.telemetry != nullptr ? &lane->bus : nullptr;
+    if (options_.telemetry != nullptr)
+      popt.bus = merged ? &lane->bus : &options_.telemetry->bus();
     popt.prof = lane->prof.get();
     lane->platform = std::make_unique<Platform>(lane->engine.engine(), lane->cluster,
                                                 options_.pricing, lane->rng, popt);
+    lane->arrivals.emplace(*lane->platform);
     lane->injector.set_bus(popt.bus);
     lane->injector.arm(lane->engine.engine(), lane->cluster);
 
@@ -139,8 +146,8 @@ void ShardedPlatform::build_lanes() {
     lanes_.push_back(std::move(lane));
   }
 
-  // Deploy in global order so a lane's deploy sequence is the subsequence
-  // the monolithic run would have produced.
+  // Deploy in global order so a lane's deploy sequence is the subsequence of
+  // the cell's.
   for (std::size_t g = 0; g < pending_.size(); ++g) {
     PendingApp& pa = pending_[g];
     Lane& lane = *lanes_[static_cast<std::size_t>(refs_[g].lane_index)];
@@ -151,24 +158,19 @@ void ShardedPlatform::build_lanes() {
         node_names.push_back(pa.app.dag.name(static_cast<dag::NodeId>(nd)));
       options_.telemetry->register_app(static_cast<int>(g), pa.app.name,
                                        std::move(node_names), pa.app.sla);
+      // Decision records follow the events: into the lane's log (merged at
+      // each barrier; a caller-attached log would be written from several
+      // lane threads) or straight into the cell's. Without telemetry a
+      // policy keeps whatever log its caller attached.
+      pa.policy->set_audit_log(merged ? &lane.audit : &options_.telemetry->audit());
     }
-    // Decision records go to the lane's private audit log (merged at each
-    // barrier); a caller-attached log would be written from several lane
-    // threads.
-    pa.policy->set_audit_log(options_.telemetry != nullptr ? &lane.audit : nullptr);
     const AppId id = lane.platform->deploy(std::move(pa.app), std::move(pa.policy));
     refs_[g].local = id;
-    lane.ids.push_back(id);
     lane.app_map.push_back(static_cast<int>(g));
-    lane.arrivals.push_back(std::move(pa.arrivals));
+    lane.arrivals->add(id, std::move(pa.arrivals));
   }
 
-  // Cursors are built only after every arrival vector is in place: they
-  // point at the inner vectors, which move while the outer one grows.
-  for (auto& lane : lanes_)
-    for (const auto& arr : lane->arrivals) lane->cursors.emplace_back(&arr);
-
-  if (options_.telemetry != nullptr) {
+  if (merged) {
     streams_.reserve(lanes_.size());
     for (auto& lane : lanes_)
       streams_.push_back({&lane->bus, &lane->audit, &lane->app_map, lane->machine_base});
@@ -176,32 +178,43 @@ void ShardedPlatform::build_lanes() {
 }
 
 void ShardedPlatform::merge_telemetry(double before) {
-  if (options_.telemetry == nullptr) return;
+  if (streams_.empty()) return;
   prof::ScopeTimer merge_scope(options_.prof, prof::Site::ShardMerge);
   obs::merge_lanes(streams_, *options_.telemetry, before);
 }
 
-void ShardedPlatform::inject_arrivals(Lane& lane, double limit, bool flush_all) {
-  // Window-barrier streaming via the shared ArrivalCursor: strictly-before
-  // the barrier each step, everything on the final flush (so the scheduled-
-  // event tally matches the monolithic upfront run).
-  for (std::size_t a = 0; a < lane.cursors.size(); ++a) {
-    const auto submit = [&](SimTime t) { lane.platform->submit_request(lane.ids[a], t); };
-    if (flush_all) {
-      lane.cursors[a].drain_all(submit);
-    } else {
-      lane.cursors[a].drain_before(limit, submit);
-    }
-  }
-}
-
-void ShardedPlatform::run(SimTime end) {
+void ShardedPlatform::run(SimTime end, sim::Driver* driver) {
   SMILESS_CHECK_MSG(!ran_, "ShardedPlatform::run is one-shot");
   ran_ = true;
   SMILESS_CHECK(end > 0.0);
+  build_lanes();
+
+  if (driver != nullptr) {
+    // The driver owns the pump: it paces the lane's engine and pulls the
+    // lane's arrivals as they fall due, then flushes the tail itself.
+    SMILESS_CHECK_MSG(lanes_.size() == 1,
+                      "a driver paces one populated lane; this cell populates "
+                          << lanes_.size());
+    Lane& lane = *lanes_.front();
+    driver->drive(lane.engine.engine(), &*lane.arrivals, end);
+  } else {
+    step_windows(end);
+  }
+
+  {
+    prof::ScopeTimer fin_scope(options_.prof, prof::Site::Finalize);
+    for (auto& lane : lanes_) lane->platform->finalize(end);
+  }
+  merge_telemetry(std::numeric_limits<double>::infinity());
+
+  if (options_.prof != nullptr)
+    for (const auto& lane : lanes_)
+      if (lane->prof != nullptr) options_.prof->merge(*lane->prof);
+}
+
+void ShardedPlatform::step_windows(SimTime end) {
   const double w = options_.platform.window_seconds;
   SMILESS_CHECK(w > 0.0);
-  build_lanes();
 
   // Lanes get a private pool: they must never share the policies' solver
   // pool (a policy blocking on its own pool's futures from a lane thread
@@ -218,26 +231,38 @@ void ShardedPlatform::run(SimTime end) {
     const std::size_t workers = std::min(want, lanes_.size());
     if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
   }
+  // Lanes stepped on worker threads overlap the coordinator's barrier wait
+  // instead of nesting in it (and must not touch its frames).
+  const auto nest_lanes = [&](prof::Profiler* host) {
+    for (auto& lane : lanes_)
+      if (lane->prof != nullptr) lane->prof->nest_in(host);
+  };
+  if (pool != nullptr) nest_lanes(nullptr);
 
   double t = 0.0;
   while (t < end) {
     const double step_end = std::min(end, t + w);
-    // The final step flushes every remaining arrival (even past `end`) so
-    // the scheduled-event tally matches the monolithic run, which schedules
-    // the whole trace upfront.
+    // The final step flushes every remaining arrival, even past `end`: those
+    // events never fire, but scheduling them keeps `events_scheduled` at the
+    // count every golden and pin was taken with.
     const bool flush = step_end >= end;
     auto step = [&](std::size_t li) {
       Lane& lane = *lanes_[li];
       // Per-lane wall time, recorded into the lane's private profiler on
-      // whichever pool thread runs the step.
+      // whichever thread runs the step.
       prof::ScopeTimer lane_scope(lane.prof.get(), prof::Site::LaneStep);
-      inject_arrivals(lane, step_end, flush);
+      if (flush) {
+        lane.arrivals->flush();
+      } else {
+        lane.arrivals->inject_before(step_end);
+      }
       lane.engine.step_to(step_end);
     };
     {
       // The coordinator charges the whole window — i.e. the wait for the
-      // slowest lane — to the barrier site; a lane's own barrier wait is the
-      // difference between this and its lane_step time.
+      // slowest lane — to the barrier site. Lanes stepped on this thread
+      // nest in it, so its exclusive time is the coordinator's own; lanes
+      // on the pool overlap it.
       prof::ScopeTimer barrier(options_.prof, prof::Site::ShardBarrier);
       if (pool != nullptr) {
         parallel_for(*pool, lanes_.size(), step);
@@ -252,15 +277,7 @@ void ShardedPlatform::run(SimTime end) {
     t = step_end;
   }
 
-  {
-    prof::ScopeTimer fin_scope(options_.prof, prof::Site::Finalize);
-    for (auto& lane : lanes_) lane->platform->finalize(end);
-  }
-  merge_telemetry(std::numeric_limits<double>::infinity());
-
-  if (options_.prof != nullptr)
-    for (const auto& lane : lanes_)
-      if (lane->prof != nullptr) options_.prof->merge(*lane->prof);
+  if (pool != nullptr) nest_lanes(options_.prof);
 }
 
 int ShardedPlatform::lane_of(int app) const {

@@ -16,6 +16,10 @@ class Telemetry;
 struct LaneTelemetry;
 }  // namespace smiless::obs
 
+namespace smiless::sim {
+class Driver;
+}  // namespace smiless::sim
+
 namespace smiless::serverless {
 
 /// Knobs for one sharded cell (DESIGN.md §14).
@@ -49,20 +53,27 @@ struct ShardOptions {
   /// every lane, drawn from its private RNG stream.
   faults::FaultSpec faults;
 
-  /// Merged observability output (non-owning, may be null). Each lane
-  /// records into bare private logs (events + decisions); at every window
-  /// barrier, and once more after finalize, the lane logs' settled prefixes
-  /// are merged in deterministic (t, lane, order) order into this bundle
-  /// with app/machine ids translated back to the cell's global spaces, and
+  /// Merged observability output (non-owning, may be null). A lone
+  /// populated lane publishes straight into it. Otherwise each lane records
+  /// into bare private logs (events + decisions); at every window barrier,
+  /// and once more after finalize, the lane logs' settled prefixes are
+  /// merged in deterministic (t, lane, order) order into this bundle with
+  /// app/machine ids translated back to the cell's global spaces, and
   /// dropped from the lanes, so a lane holds about one window of entries.
+  /// With telemetry, every policy's decision records land here too; without
+  /// it, a policy keeps the audit log its caller attached (a log shared by
+  /// apps of different lanes then needs lane_threads = 1).
   obs::Telemetry* telemetry = nullptr;
 
   /// Merged self-profiler output (non-owning, may be null). Profilers are
   /// not thread-safe, so each lane times itself into a private Profiler
   /// (lane step, engine, platform subsystems) while the coordinator charges
-  /// barrier waits and telemetry merges here; lane profilers are merged into this one — keeping
-  /// a per-lane breakdown — after the run. Wall-clock only; the trajectory
-  /// and every golden-compared artifact are identical with or without it.
+  /// barrier waits and telemetry merges here; lane profilers are merged
+  /// into this one — keeping a per-lane breakdown — after the run. A lane
+  /// working on the calling thread nests in the coordinator's open scope,
+  /// so a serial cell's exclusive times still sum to its root. Wall-clock
+  /// only; the trajectory and every golden-compared artifact are identical
+  /// with or without it.
   prof::Profiler* prof = nullptr;
 };
 
@@ -74,14 +85,15 @@ struct ShardOptions {
 /// `window_seconds` barriers. Because lanes share no mutable state and every
 /// merge is ordered by (time, lane id, per-lane order), the output is
 /// bit-identical at any `lane_threads`, and a cell whose apps land in one
-/// lane reproduces the monolithic run exactly: the lone lane inherits the
-/// whole cluster, the unmixed seed (the lane seed of app index 0 IS the cell
-/// seed) and the full fault spec.
+/// lane is invariant in the lane count: the lone lane inherits the whole
+/// cluster, the unmixed seed (the lane seed of app index 0 IS the cell seed)
+/// and the full fault spec.
 ///
-/// Arrivals are injected one window ahead of the barrier instead of being
-/// scheduled upfront, bounding live events in each lane's queue to roughly a
-/// window's worth — this is also the platform's throughput path (see
-/// BENCH_throughput.json).
+/// This is the one cell executor: baselines::run_colocated, `smiless serve`
+/// and the benchmarks all run here. Each lane's arrivals stream in through
+/// its ArrivalSource, one window at a time at the barrier (or as a pacing
+/// driver's clock reaches them), bounding live events in each lane's queue
+/// to roughly a window's worth.
 ///
 /// Usage: add_app() every app, then run() exactly once, then read the books.
 class ShardedPlatform {
@@ -98,8 +110,11 @@ class ShardedPlatform {
 
   /// Build the lanes, serve until `end` in window-barrier lockstep (merging
   /// telemetry at each barrier), finalize every lane and merge the rest.
-  /// Call exactly once.
-  void run(SimTime end);
+  /// Call exactly once. With a `driver` (non-owning), the driver pumps the
+  /// lone populated lane's engine and pulls its ArrivalSource instead of
+  /// the barrier loop (DESIGN.md §16); a cell that populates more than one
+  /// lane raises a CheckError.
+  void run(SimTime end, sim::Driver* driver = nullptr);
 
   /// The stable partition function: lane of the app with deploy index
   /// `global_index` under a `lanes`-way split.
@@ -116,11 +131,11 @@ class ShardedPlatform {
   faults::FaultStats fault_stats() const;
   /// Calendar-queue internals summed over lanes (resizes and direct
   /// searches add; buckets and peak_live are summed footprints). Internal
-  /// diagnostics only: the values differ between the monolithic
-  /// (upfront-scheduling) and sharded (streaming-injection) paths even
-  /// when the trajectories are identical, so they stay out of comparable
-  /// artifacts unless explicitly requested (ObservabilityOptions::
-  /// internal_stats).
+  /// diagnostics only: they describe how the queue sized itself, not the
+  /// trajectory — a driver-paced run of a cell injects per instant where
+  /// the barrier injects per window, and the values differ even though the
+  /// trajectories are identical — so they stay out of comparable artifacts
+  /// unless explicitly requested (ObservabilityOptions::internal_stats).
   sim::CalendarStats calendar_stats() const;
 
   int populated_lanes() const;
@@ -139,7 +154,8 @@ class ShardedPlatform {
   };
 
   void build_lanes();
-  void inject_arrivals(Lane& lane, double limit, bool flush_all);
+  /// The barrier loop: step every lane one window at a time to `end`.
+  void step_windows(SimTime end);
   /// Hand every lane entry with t < before to options_.telemetry.
   void merge_telemetry(double before);
 

@@ -7,15 +7,14 @@ namespace smiless::sim {
 
 class Engine;
 
-/// A source of externally-injected work — the driver-facing face of a trace
-/// replayer (DESIGN.md §16). Drivers poll `next_time()` to learn when the
-/// source next wants to act and call `inject_through(t)` no later than that
-/// sim instant; the source then performs every injection due at or before
-/// `t` (scheduling engine events at their arrival times, e.g. through the
-/// Gateway intake). `flush()` injects everything left regardless of time —
-/// the upfront-scheduling mode the classic DES run uses, and the end-of-
-/// drive tail flush that keeps scheduled-event tallies identical between
-/// streaming and upfront injection.
+/// A source of externally-injected work (DESIGN.md §16); in practice a
+/// sharded lane's serverless::ArrivalSource. Drivers poll `next_time()` to
+/// learn when the source next wants to act and call `inject_through(t)` no
+/// later than that sim instant; the source then performs every injection
+/// due at or before `t` (scheduling engine events at their arrival times,
+/// through the Gateway intake). `flush()` injects everything left
+/// regardless of time — the end-of-drive tail flush that keeps the
+/// scheduled-event tally equal to the window-barrier run's.
 class WorkSource {
  public:
   virtual ~WorkSource() = default;
@@ -34,14 +33,11 @@ class WorkSource {
 /// The driver seam: who pumps the engine's event queue, and against which
 /// clock. Extracting this from the engine is what turns "a simulator" into
 /// "a serving system with a simulation mode" — the Gateway, scheduler, pool
-/// and ledger underneath are identical; only the pump differs.
-///
-///  - DesDriver (here) — the classic discrete-event pump: flush the source
-///    upfront, then free-run the engine to the horizon. Byte-identical to
-///    the pre-seam Engine::run_until path.
-///  - rt::RealTimeDriver (src/rt/driver.hpp) — pumps the same queue one
-///    event batch at a time, pacing each batch against a Clock and
-///    streaming injections in as their due times arrive.
+/// and ledger underneath are identical; only the pump differs. Without a
+/// driver, serverless::ShardedPlatform pumps its lanes itself, one window
+/// barrier at a time; rt::RealTimeDriver (src/rt/driver.hpp) pumps a lone
+/// lane one event batch at a time instead, pacing each batch against a
+/// Clock and streaming injections in as their due times arrive.
 ///
 /// Contract: on return (unless the clock interrupted the drive) the
 /// engine's clock reads `end` and every event with time <= end has fired.
@@ -54,13 +50,6 @@ class Driver {
   /// Pump `engine` to sim time `end`, injecting from `source` (nullable)
   /// no later than each injection's due time.
   virtual void drive(Engine& engine, WorkSource* source, SimTime end) = 0;
-};
-
-/// The discrete-event driver: schedule everything upfront, run flat out.
-class DesDriver final : public Driver {
- public:
-  const char* name() const override { return "des"; }
-  void drive(Engine& engine, WorkSource* source, SimTime end) override;
 };
 
 }  // namespace smiless::sim

@@ -9,20 +9,19 @@
 
 namespace smiless::workload {
 
-/// Cursor over one app's sorted arrival timestamps — the single arrival-
-/// iteration helper shared by every injection path (DESIGN.md §16):
+/// Cursor over one app's sorted arrival timestamps — the arrival-iteration
+/// helper behind serverless::ArrivalSource, the one injection path
+/// (DESIGN.md §14, §16). One source serves both ways a lane is pumped:
 ///
-///  - the classic monolithic run drains the whole trace upfront
-///    (`drain_all`) before the DES pump starts;
-///  - the sharded platform streams one window at a time (`drain_before`
-///    each barrier, `drain_all` at the final flush);
-///  - the real-time replayer feeds arrivals in as the wall clock reaches
-///    them (`next_time` to learn the next due instant, `drain_through` to
-///    inject it).
+///  - the window barrier streams one window at a time (`drain_before` each
+///    barrier, `drain_all` at the final flush);
+///  - a pacing driver feeds arrivals in as its clock reaches them
+///    (`next_time` to learn the next due instant, `drain_through` to inject
+///    it, `drain_all` for the tail).
 ///
-/// The cursor never owns the arrival vector (traces are shared, immutable
-/// run inputs) and only ever moves forward, so however a driver slices the
-/// timeline the injected sequence is the same.
+/// The cursor never owns the arrival vector and only ever moves forward,
+/// so however a driver slices the timeline the injected sequence is the
+/// same.
 class ArrivalCursor {
  public:
   ArrivalCursor() = default;
@@ -72,8 +71,8 @@ class ArrivalCursor {
   }
 
   /// Feed everything left to `fn`, regardless of time. Returns the number
-  /// fed. (Upfront scheduling, and the end-of-run tail flush that keeps
-  /// scheduled-event tallies identical between injection modes.)
+  /// fed. (The end-of-run tail flush: post-horizon arrivals are scheduled,
+  /// never fired, on every path alike.)
   template <typename Fn>
   std::size_t drain_all(Fn&& fn) {
     std::size_t n = 0;

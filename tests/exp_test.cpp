@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <vector>
 
 #include "baselines/experiment.hpp"
 #include "exp/aggregate.hpp"
@@ -186,6 +188,34 @@ TEST(ExpRunner, RunCellMatchesDirectExperiment) {
   EXPECT_EQ(cell.result.completed, direct.completed);
   EXPECT_EQ(cell.result.initializations, direct.initializations);
   EXPECT_EQ(cell.result.e2e, direct.e2e);
+}
+
+/// Per-request traces come out of the cell as configured: faults slow
+/// requests down, so they change which requests are slowest (`smiless
+/// --slow` prints that list).
+TEST(ExpRunner, TracesFollowTheCellsFaults) {
+  exp::ExperimentConfig config;
+  config.app = "wl1";
+  config.policy = "orion";
+  config.trace.duration = 120.0;
+  config.platform.record_traces = true;
+  exp::Runner runner({/*threads=*/1, /*policy_threads=*/2});
+  const auto& store = runner.profiles(config.profile_seed);
+
+  const auto slowest = [&](const exp::ExperimentConfig& c) {
+    const exp::CellResult cell = exp::Runner::run_cell(c, store, runner.policy_pool());
+    EXPECT_EQ(static_cast<long>(cell.result.traces.size()), cell.result.completed);
+    std::vector<double> e2e;
+    for (const auto& t : cell.result.traces) e2e.push_back(t.e2e());
+    std::sort(e2e.begin(), e2e.end(), std::greater<>());
+    e2e.resize(std::min<std::size_t>(e2e.size(), 3));
+    return e2e;
+  };
+  const std::vector<double> clean = slowest(config);
+  config.faults.init_failure_prob = 0.3;
+  const std::vector<double> faulty = slowest(config);
+  ASSERT_EQ(clean.size(), 3u);
+  EXPECT_NE(clean, faulty);
 }
 
 TEST(ExpRunner, ParallelSweepBitIdenticalToSerial) {

@@ -2,9 +2,10 @@
 // mode behind it (src/rt, exp::serve). The load-bearing contract, from
 // DESIGN.md §16: a clock only delays — it never reorders, drops or inserts
 // work — so the sim trajectory of a real-time drive is identical to the
-// upfront DES run of the same config. The equivalence suite here holds the
-// two drivers to that: same request terminal states, same ledger totals,
-// same event counts (wall-clock fields excluded — no Event carries one).
+// window-barrier DES run of the same config. The equivalence suite here
+// holds the driver to that: same request terminal states, same ledger
+// totals, same event counts (wall-clock fields excluded — no Event carries
+// one).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,16 +18,20 @@
 #include <thread>
 #include <vector>
 
+#include "apps/catalog.hpp"
+#include "baselines/experiment.hpp"
+#include "cluster/cluster.hpp"
 #include "exp/runner.hpp"
 #include "exp/serve.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/stream_sink.hpp"
 #include "obs/telemetry.hpp"
 #include "rt/driver.hpp"
-#include "rt/replayer.hpp"
 #include "rt/wall_clock.hpp"
+#include "serverless/arrival_source.hpp"
+#include "serverless/platform.hpp"
+#include "serverless/platform_view.hpp"
 #include "sim/clock.hpp"
-#include "sim/driver.hpp"
 #include "sim/engine.hpp"
 
 using namespace smiless;
@@ -34,35 +39,81 @@ using namespace smiless;
 namespace {
 
 // ---------------------------------------------------------------------------
-// TraceReplayer
+// ArrivalSource: a lane's WorkSource
 // ---------------------------------------------------------------------------
 
-TEST(TraceReplayer, MergesStreamsInDueTimeThenRegistrationOrder) {
-  const std::vector<SimTime> a = {1.0, 3.0, 5.0};
-  const std::vector<SimTime> b = {2.0, 3.0};
-  std::vector<std::pair<std::size_t, SimTime>> got;
-  rt::TraceReplayer replayer([&](std::size_t slot, SimTime t) { got.push_back({slot, t}); });
-  EXPECT_EQ(replayer.add_stream(&a), 0u);
-  EXPECT_EQ(replayer.add_stream(&b), 1u);
+using Admitted = std::vector<std::pair<serverless::AppId, SimTime>>;
 
-  EXPECT_DOUBLE_EQ(replayer.next_time(), 1.0);
-  replayer.inject_through(2.5);
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], (std::pair<std::size_t, SimTime>{0, 1.0}));
-  EXPECT_EQ(got[1], (std::pair<std::size_t, SimTime>{1, 2.0}));
+/// Keeps every function warm and logs each arrival the Gateway admits.
+class ArrivalLog : public serverless::Policy {
+ public:
+  explicit ArrivalLog(Admitted* seen) : seen_(seen) {}
+  std::string name() const override { return "arrival-log"; }
+  void on_deploy(serverless::AppId app, const apps::App& spec,
+                 serverless::PlatformView& p) override {
+    serverless::FunctionPlan plan;
+    plan.config = {perf::Backend::Cpu, 4, 0};
+    plan.keepalive = serverless::FunctionPlan::forever();
+    for (std::size_t n = 0; n < spec.dag.size(); ++n)
+      p.set_plan(app, static_cast<dag::NodeId>(n), plan);
+  }
+  void on_arrival(serverless::AppId app, const apps::App&, serverless::PlatformView&,
+                  SimTime now) override {
+    seen_->push_back({app, now});
+  }
 
-  // Tie at 3.0: registration (app) order, mirroring the upfront loop.
-  EXPECT_DOUBLE_EQ(replayer.next_time(), 3.0);
-  replayer.inject_through(3.0);
-  ASSERT_EQ(got.size(), 4u);
-  EXPECT_EQ(got[2].first, 0u);
-  EXPECT_EQ(got[3].first, 1u);
+ private:
+  Admitted* seen_;
+};
 
-  replayer.flush();
-  ASSERT_EQ(got.size(), 5u);
-  EXPECT_EQ(got[4], (std::pair<std::size_t, SimTime>{0, 5.0}));
-  EXPECT_EQ(replayer.injected(), 5u);
-  EXPECT_TRUE(std::isinf(replayer.next_time()));
+/// A bare Platform whose apps' arrivals enter through one ArrivalSource.
+struct SourceRig {
+  sim::Engine engine;
+  cluster::Cluster cluster = cluster::Cluster::paper_testbed();
+  Rng rng{5};
+  serverless::Platform platform{engine, cluster, perf::Pricing{}, rng};
+  serverless::ArrivalSource source{platform};
+  Admitted seen;
+
+  void add(std::vector<SimTime> arrivals) {
+    const serverless::AppId id =
+        platform.deploy(apps::make_voice_assistant(), std::make_shared<ArrivalLog>(&seen));
+    source.add(id, std::move(arrivals));
+  }
+};
+
+TEST(ArrivalSource, MergesStreamsInDueTimeThenAppOrder) {
+  SourceRig rig;
+  rig.add({1.0, 3.0, 5.0});
+  rig.add({2.0, 3.0});
+
+  EXPECT_DOUBLE_EQ(rig.source.next_time(), 1.0);
+  rig.source.inject_through(2.5);
+  rig.engine.run_until(2.5);
+  EXPECT_EQ(rig.seen, (Admitted{{0, 1.0}, {1, 2.0}}));
+
+  // Tie at 3.0: app (deploy) order.
+  EXPECT_DOUBLE_EQ(rig.source.next_time(), 3.0);
+  rig.source.inject_through(3.0);
+  rig.engine.run_until(3.0);
+  EXPECT_EQ(rig.seen, (Admitted{{0, 1.0}, {1, 2.0}, {0, 3.0}, {1, 3.0}}));
+
+  rig.source.flush();
+  EXPECT_TRUE(std::isinf(rig.source.next_time()));
+  rig.engine.run_until(10.0);
+  ASSERT_EQ(rig.seen.size(), 5u);
+  EXPECT_EQ(rig.seen[4], (std::pair<serverless::AppId, SimTime>{0, 5.0}));
+}
+
+TEST(ArrivalSource, BarrierCutHoldsArrivalsAtTheBarrier) {
+  SourceRig rig;
+  rig.add({0.5, 1.0, 1.5});
+  rig.source.inject_before(1.0);  // strict: 1.0 opens the next window
+  EXPECT_DOUBLE_EQ(rig.source.next_time(), 1.0);
+  rig.source.inject_before(2.0);
+  EXPECT_TRUE(std::isinf(rig.source.next_time()));
+  rig.engine.run_until(2.0);
+  EXPECT_EQ(rig.seen, (Admitted{{0, 0.5}, {0, 1.0}, {0, 1.5}}));
 }
 
 // ---------------------------------------------------------------------------
@@ -100,11 +151,12 @@ TEST(WallClock, RequestStopAbortsTheWait) {
 }
 
 // ---------------------------------------------------------------------------
-// RealTimeDriver vs DesDriver on a bare engine
+// RealTimeDriver vs Engine::run_until on a bare engine
 // ---------------------------------------------------------------------------
 
-/// Schedule a deterministic self-extending workload; record the firing order.
-std::vector<int> run_schedule(sim::Driver& driver, sim::WorkSource* source = nullptr) {
+/// Schedule a deterministic self-extending workload and pump it with
+/// `driver`, or with a plain run_until when null; record the firing order.
+std::vector<int> run_schedule(sim::Driver* driver) {
   sim::Engine engine;
   std::vector<int> fired;
   for (int i = 0; i < 5; ++i) {
@@ -114,82 +166,85 @@ std::vector<int> run_schedule(sim::Driver& driver, sim::WorkSource* source = nul
         engine.schedule_after(0.5, [&fired] { fired.push_back(100); });
     });
   }
-  driver.drive(engine, source, 10.0);
+  if (driver != nullptr) {
+    driver->drive(engine, nullptr, 10.0);
+  } else {
+    engine.run_until(10.0);
+  }
   EXPECT_DOUBLE_EQ(engine.now(), 10.0);
   return fired;
 }
 
 TEST(Drivers, RealTimeWithImmediateClockMatchesDes) {
-  sim::DesDriver des;
   sim::ImmediateClock immediate;
   rt::RealTimeDriver realtime(&immediate);
-  EXPECT_EQ(run_schedule(des), run_schedule(realtime));
+  EXPECT_EQ(run_schedule(nullptr), run_schedule(&realtime));
   EXPECT_EQ(realtime.stats().batches, 6u);  // 5 instants + the spawned one
   EXPECT_FALSE(realtime.stats().interrupted);
 }
 
 TEST(Drivers, RealTimeStreamsASourceNoEarlierThanDue) {
-  sim::Engine engine;
-  std::vector<SimTime> arrivals = {1.0, 2.5, 4.0};
-  std::vector<SimTime> seen;  // engine.now() at each injection
-  rt::TraceReplayer replayer([&](std::size_t, SimTime t) {
-    // The driver must not have advanced past the arrival when it injects.
-    EXPECT_LE(engine.now(), t);
-    engine.schedule_at(t, [&seen, t] { seen.push_back(t); });
-  });
-  replayer.add_stream(&arrivals);
+  SourceRig rig;
+  rig.add({1.0, 2.5, 4.0});
   sim::ImmediateClock immediate;
   rt::RealTimeDriver driver(&immediate);
-  driver.drive(engine, &replayer, 10.0);
-  EXPECT_EQ(seen, arrivals);
-  EXPECT_EQ(replayer.injected(), 3u);
-  EXPECT_DOUBLE_EQ(engine.now(), 10.0);
+  // Gateway::submit rejects an arrival already in the past, so a late
+  // injection fails the drive.
+  driver.drive(rig.engine, &rig.source, 10.0);
+  EXPECT_EQ(rig.seen, (Admitted{{0, 1.0}, {0, 2.5}, {0, 4.0}}));
+  EXPECT_DOUBLE_EQ(rig.engine.now(), 10.0);
 }
 
 TEST(Drivers, TailFlushSchedulesPostHorizonArrivals) {
   // Arrivals past `end` must still be scheduled (never fired), matching the
-  // upfront run's scheduled-event tally.
-  sim::Engine engine;
-  std::vector<SimTime> arrivals = {1.0, 50.0};
-  int fired = 0;
-  rt::TraceReplayer replayer([&](std::size_t, SimTime t) {
-    engine.schedule_at(t, [&fired] { ++fired; });
-  });
-  replayer.add_stream(&arrivals);
+  // barrier run's scheduled-event tally.
+  SourceRig rig;
+  rig.add({1.0, 50.0});
   sim::ImmediateClock immediate;
   rt::RealTimeDriver driver(&immediate);
-  driver.drive(engine, &replayer, 10.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(replayer.injected(), 2u);
-  EXPECT_EQ(engine.stats().scheduled, 2u);
+  driver.drive(rig.engine, &rig.source, 10.0);
+  EXPECT_EQ(rig.seen.size(), 1u);
+  EXPECT_TRUE(std::isinf(rig.source.next_time()));  // flushed
+  rig.engine.run_until(60.0);
+  EXPECT_EQ(rig.seen.size(), 2u);  // the flushed arrival was in the queue
 }
 
 /// Clock that interrupts after a fixed number of waits — deterministic
-/// stand-in for a stop request landing mid-drive.
+/// stand-in for a stop request landing mid-drive. Remembers the last
+/// instant it let through and, when it interrupts, how many lines `sink`
+/// (if any) had written by then.
 class CountdownClock final : public sim::Clock {
  public:
-  explicit CountdownClock(int allowed) : allowed_(allowed) {}
-  bool wait_until(SimTime) override { return allowed_-- > 0; }
+  explicit CountdownClock(int allowed, const obs::StreamSink* sink = nullptr)
+      : allowed_(allowed), sink_(sink) {}
+  bool wait_until(SimTime t) override {
+    if (allowed_-- > 0) {
+      last_ = t;
+      return true;
+    }
+    if (sink_ != nullptr) lines_at_stop_ = sink_->lines();
+    return false;
+  }
+  SimTime last() const { return last_; }
+  std::uint64_t lines_at_stop() const { return lines_at_stop_; }
 
  private:
   int allowed_;
+  const obs::StreamSink* sink_;
+  SimTime last_ = 0.0;
+  std::uint64_t lines_at_stop_ = 0;
 };
 
 TEST(Drivers, InterruptedDriveStopsWithoutFlushing) {
-  sim::Engine engine;
-  std::vector<SimTime> arrivals = {1.0, 2.0, 3.0, 4.0};
-  int injected_fired = 0;
-  rt::TraceReplayer replayer([&](std::size_t, SimTime t) {
-    engine.schedule_at(t, [&injected_fired] { ++injected_fired; });
-  });
-  replayer.add_stream(&arrivals);
+  SourceRig rig;
+  rig.add({1.0, 2.0, 3.0, 4.0});
   CountdownClock clock(2);
   rt::RealTimeDriver driver(&clock);
-  driver.drive(engine, &replayer, 10.0);
+  driver.drive(rig.engine, &rig.source, 10.0);
   EXPECT_TRUE(driver.stats().interrupted);
-  EXPECT_EQ(injected_fired, 2);
-  EXPECT_EQ(replayer.injected(), 2u);   // no tail flush on interrupt
-  EXPECT_DOUBLE_EQ(engine.now(), 2.0);  // stopped at the last fired instant
+  EXPECT_EQ(rig.seen, (Admitted{{0, 1.0}, {0, 2.0}}));
+  EXPECT_DOUBLE_EQ(rig.source.next_time(), 3.0);  // no tail flush on interrupt
+  EXPECT_DOUBLE_EQ(rig.engine.now(), 2.0);        // stopped at the last fired instant
 }
 
 // ---------------------------------------------------------------------------
@@ -272,13 +327,27 @@ TEST(ServeEquivalence, EquivalenceHoldsUnderFaults) {
   EXPECT_EQ(fingerprint(live.cell.result), fingerprint(des.result));
 }
 
-TEST(ServeEquivalence, ServeRejectsShardedConfigs) {
-  auto config = small_cell();
-  config.lanes = 4;
+/// A serve cell holds one app, so it populates one lane at any lane count
+/// and the stream does not move.
+TEST(ServeEquivalence, ServeStreamIsInvariantInLaneCount) {
   exp::Runner runner({/*threads=*/1, /*policy_threads=*/2});
-  EXPECT_THROW(
-      exp::serve(config, runner.profiles(config.profile_seed), runner.policy_pool(), {}),
-      std::runtime_error);
+  std::string streams[2];
+  std::string fingerprints[2];
+  for (const int i : {0, 1}) {
+    auto config = small_cell();
+    config.lanes = i == 0 ? 1 : 4;
+    std::ostringstream stream;
+    exp::ServeOptions sopt;
+    sopt.speedup = 1e9;
+    sopt.stream = &stream;
+    const exp::ServeReport live =
+        exp::serve(config, runner.profiles(config.profile_seed), runner.policy_pool(), sopt);
+    streams[i] = stream.str();
+    fingerprints[i] = fingerprint(live.cell.result);
+  }
+  EXPECT_FALSE(streams[0].empty());
+  EXPECT_EQ(streams[0], streams[1]);
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,6 +395,39 @@ TEST(StreamSink, LiveStreamMatchesTheDesEventStream) {
   ASSERT_NE(des.telemetry, nullptr);
   for (const auto& e : des.telemetry->bus().events()) sink.write(e);
   EXPECT_EQ(live_stream.str(), replay.str());
+}
+
+/// The stream is live: when a drive is interrupted, the lines of every
+/// event that fired are already written, not held back for a merge at the
+/// end of the run.
+TEST(StreamSink, InterruptedDriveHasStreamedWhatFired) {
+  const auto config = small_cell();
+  exp::Runner runner({/*threads=*/1, /*policy_threads=*/2});
+  const apps::App app = exp::resolve_app(config);
+  const workload::Trace trace = exp::build_trace(config, app);
+  baselines::PolicySettings settings;
+  settings.pool = runner.policy_pool();
+  auto policy = baselines::make_policy(baselines::PolicyKind::Orion, app,
+                                       runner.profiles(config.profile_seed), settings);
+
+  obs::Telemetry telemetry;
+  std::ostringstream out;
+  obs::StreamSink sink(&out);
+  sink.attach(telemetry.bus());
+  CountdownClock clock(40, &sink);
+  rt::RealTimeDriver driver(&clock);
+  baselines::ExperimentOptions options;
+  options.seed = config.seed;
+  options.telemetry = &telemetry;
+  options.driver = &driver;
+  (void)baselines::run_experiment(app, trace, std::move(policy), options);
+
+  ASSERT_TRUE(driver.stats().interrupted);
+  std::uint64_t fired = 0;
+  for (const auto& e : telemetry.bus().events())
+    if (e.t <= clock.last()) ++fired;
+  EXPECT_GT(fired, 0u);
+  EXPECT_EQ(clock.lines_at_stop(), fired);
 }
 
 TEST(StreamSink, GoldenStreamIsByteStable) {

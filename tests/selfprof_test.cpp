@@ -5,7 +5,8 @@
 //    exclusive times of all sites sum *exactly* to the root's inclusive
 //    time (the bench's ">= 90% coverage" invariant, by construction);
 //  - merge() is order-invariant and grouping-invariant, and keeps a
-//    per-lane breakdown;
+//    per-lane breakdown; a lane nested in the coordinator's scope is not
+//    timed twice;
 //  - a null profiler pointer is a true no-op (the zero-overhead-when-off
 //    story);
 //  - attaching a profiler to a real cell never moves the trajectory: the
@@ -64,6 +65,37 @@ TEST(SelfProfiler, ExclusiveTimesSumExactlyToRootInclusive) {
   EXPECT_EQ(exclusive_sum(p), p.root_ns());
   EXPECT_EQ(p.sites()[static_cast<std::size_t>(prof::Site::EngineRun)].count, 3u);
   EXPECT_EQ(p.sites()[static_cast<std::size_t>(prof::Site::Dispatch)].count, 3u);
+}
+
+/// A lane profiler working on the coordinator's thread nests in whatever
+/// coordinator scope is open: after the merge, Σ exclusive over both still
+/// equals the root, and the lane keeps its own breakdown.
+TEST(SelfProfiler, NestedLaneIsNotTimedTwice) {
+  prof::Profiler cell;
+  prof::Profiler lane(0);
+  lane.nest_in(&cell);
+  cell.enter(prof::Site::CellRun);
+  lane.enter(prof::Site::EngineSchedule);  // a deploy: directly under the root
+  burn();
+  lane.leave();
+  cell.enter(prof::Site::ShardBarrier);
+  burn();
+  lane.enter(prof::Site::LaneStep);  // a window step inside the barrier
+  lane.enter(prof::Site::EngineRun);
+  burn();
+  lane.leave();
+  lane.leave();
+  cell.leave();
+  cell.merge(lane);
+  cell.leave();
+
+  ASSERT_GT(cell.root_ns(), 0u);
+  EXPECT_EQ(exclusive_sum(cell), cell.root_ns());
+  const auto barrier = cell.sites()[static_cast<std::size_t>(prof::Site::ShardBarrier)];
+  const auto step = cell.sites()[static_cast<std::size_t>(prof::Site::LaneStep)];
+  EXPECT_EQ(barrier.exclusive_ns, barrier.inclusive_ns - step.inclusive_ns);
+  ASSERT_EQ(cell.lanes().size(), 1u);
+  EXPECT_EQ(cell.lanes()[0].sites[static_cast<std::size_t>(prof::Site::LaneStep)].count, 1u);
 }
 
 TEST(SelfProfiler, NullProfilerScopeTimerIsANoop) {

@@ -1,8 +1,6 @@
 // Lane-equivalence suite for intra-cell sharding (DESIGN.md §14).
 //
 // The contracts under test, all byte-level:
-//  - run_sharded with one lane reproduces the monolithic run_colocated
-//    trajectory exactly (streaming arrival injection included);
 //  - a single-app cell is invariant in the lane count K (the lone populated
 //    lane inherits the whole cluster and the unmixed seed), across policies,
 //    seeds, and with fault injection + observability on;
@@ -11,16 +9,23 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "apps/catalog.hpp"
 #include "baselines/experiment.hpp"
+#include "cluster/cluster.hpp"
+#include "common/check.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
+#include "obs/audit.hpp"
 #include "obs/telemetry.hpp"
+#include "rt/driver.hpp"
 #include "serverless/platform_view.hpp"
 #include "serverless/sharding.hpp"
+#include "sim/clock.hpp"
+#include "sim/engine.hpp"
 #include "workload/trace.hpp"
 
 using namespace smiless;
@@ -158,28 +163,6 @@ baselines::ExperimentOptions sharded_options(obs::Telemetry* tel, int lanes,
   return o;
 }
 
-/// run_sharded with a single lane must replay run_colocated byte-for-byte —
-/// this is what licenses the lanes>1 dispatch inside run_colocated.
-TEST(Sharding, SingleLaneReproducesMonolithicColocatedRun) {
-  const auto& store = runner().profiles(2024);
-  const Deployment dep(90.0);
-
-  obs::Telemetry mono_tel;
-  const auto mono =
-      baselines::run_colocated(dep.colocated(store), sharded_options(&mono_tel, 1, 0));
-
-  obs::Telemetry lane_tel;
-  const auto sharded =
-      baselines::run_sharded(dep.colocated(store), sharded_options(&lane_tel, 1, 0));
-
-  ASSERT_EQ(mono.size(), sharded.size());
-  for (std::size_t i = 0; i < mono.size(); ++i) {
-    SCOPED_TRACE("app " + mono[i].app);
-    expect_same_result(mono[i], sharded[i]);
-  }
-  expect_same_telemetry(mono_tel, lane_tel);
-}
-
 /// A genuinely partitioned cell (4 apps over 4 lanes) must not care how many
 /// threads step the lanes.
 TEST(Sharding, MultiAppShardIsInvariantInLaneThreads) {
@@ -188,12 +171,12 @@ TEST(Sharding, MultiAppShardIsInvariantInLaneThreads) {
 
   obs::Telemetry serial_tel;
   const auto serial =
-      baselines::run_sharded(dep.colocated(store), sharded_options(&serial_tel, 4, 1));
+      baselines::run_colocated(dep.colocated(store), sharded_options(&serial_tel, 4, 1));
 
   for (const int lane_threads : {2, 4}) {
     obs::Telemetry tel;
     const auto parallel =
-        baselines::run_sharded(dep.colocated(store), sharded_options(&tel, 4, lane_threads));
+        baselines::run_colocated(dep.colocated(store), sharded_options(&tel, 4, lane_threads));
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("lane_threads=" + std::to_string(lane_threads) + " app " + serial[i].app);
@@ -226,43 +209,123 @@ class WindowCountLog : public serverless::Policy {
   std::vector<int>* seen_;
 };
 
-/// Arrivals at exactly a window boundary belong to the window the boundary
-/// opens, [k, k+1), on both paths. The monolithic path queues every arrival
-/// before the ticks after the first, the sharded path injects them after the
-/// tick, so this trace used to split into 1,2,1,1,1,0 (monolithic) and
-/// 1,1,1,2,0,1 (sharded).
-TEST(Sharding, BoundaryArrivalsCountInTheWindowTheyOpen) {
+/// The boundary fixture: arrivals at 0.5 and at exactly the boundaries 1, 2,
+/// 3 (twice: 3.0 and 3.5 share window 3) and 5.
+workload::Trace boundary_trace() {
   workload::Trace trace;
   trace.window = 1.0;
   trace.arrivals = {0.5, 1.0, 2.0, 3.0, 3.5, 5.0};
   trace.counts = {1, 1, 1, 2, 0, 1};
-  const std::vector<int> expected = {1, 1, 1, 2, 0, 1};
+  return trace;
+}
 
+/// Windows are half-open, [k, k+1): an arrival at exactly a boundary counts
+/// in the window the boundary opens, both in the window sample and in the
+/// WindowStats the policy is told about.
+void expect_boundary_windows(const std::vector<serverless::WindowSample>& windows,
+                             const std::vector<int>& seen) {
+  const std::vector<int> expected = {1, 1, 1, 2, 0, 1};
+  ASSERT_GE(windows.size(), expected.size());
+  ASSERT_GE(seen.size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    SCOPED_TRACE("window " + std::to_string(k));
+    EXPECT_EQ(windows[k].window_start, static_cast<double>(k));
+    EXPECT_EQ(windows[k].arrivals, expected[k]);
+    EXPECT_EQ(seen[k], expected[k]);
+  }
+}
+
+/// The lane injects each window's arrivals at its barrier, after the
+/// boundary's tick is queued, so a boundary arrival fires behind the tick.
+TEST(Sharding, BoundaryArrivalsCountInTheWindowTheyOpen) {
+  const workload::Trace trace = boundary_trace();
   baselines::ExperimentOptions options;
   options.seed = 11;
   options.drain_slack = 30.0;
   options.platform.record_windows = true;
-  const auto run = [&](bool sharded, std::vector<int>* seen) {
-    std::vector<baselines::ColocatedApp> cell;
-    cell.push_back({apps::make_voice_assistant(), &trace, std::make_shared<WindowCountLog>(seen)});
-    return sharded ? baselines::run_sharded(std::move(cell), options).front()
-                   : baselines::run_colocated(std::move(cell), options).front();
-  };
-  std::vector<int> mono_seen, lane_seen;
-  const auto mono = run(false, &mono_seen);
-  const auto lane = run(true, &lane_seen);
+  std::vector<int> seen;
+  std::vector<baselines::ColocatedApp> cell;
+  cell.push_back({apps::make_voice_assistant(), &trace, std::make_shared<WindowCountLog>(&seen)});
+  const baselines::RunResult r = baselines::run_colocated(std::move(cell), options).front();
 
-  expect_same_result(mono, lane);
-  EXPECT_EQ(mono_seen, lane_seen);
-  ASSERT_GE(mono.windows.size(), expected.size());
-  for (std::size_t k = 0; k < expected.size(); ++k) {
-    SCOPED_TRACE("window " + std::to_string(k));
-    EXPECT_EQ(mono.windows[k].window_start, static_cast<double>(k));
-    EXPECT_EQ(mono.windows[k].arrivals, expected[k]);
-    EXPECT_EQ(mono_seen[k], expected[k]);
+  expect_boundary_windows(r.windows, seen);
+  EXPECT_EQ(r.submitted, 6);
+  EXPECT_EQ(r.completed, 6);
+}
+
+/// A bare Platform that is handed every arrival upfront queues the ones at
+/// k·w (k >= 2) before their boundary's tick; the Gateway requeues each
+/// once at the same instant, behind the tick, so the windows come out the
+/// same as on the lane.
+TEST(Sharding, UpfrontBoundaryArrivalsAreRequeuedBehindTheTick) {
+  const workload::Trace trace = boundary_trace();
+  sim::Engine engine;
+  cluster::Cluster cluster = cluster::Cluster::paper_testbed();
+  Rng rng(11);
+  serverless::PlatformOptions popt;
+  popt.record_windows = true;
+  serverless::Platform platform(engine, cluster, perf::Pricing{}, rng, popt);
+  std::vector<int> seen;
+  const serverless::AppId id =
+      platform.deploy(apps::make_voice_assistant(), std::make_shared<WindowCountLog>(&seen));
+  for (const SimTime t : trace.arrivals) platform.submit_request(id, t);
+  engine.run_until(36.0);
+  platform.finalize(36.0);
+
+  const serverless::AppMetrics& m = platform.metrics(id);
+  expect_boundary_windows(m.windows, seen);
+  EXPECT_EQ(m.submitted, 6);
+  EXPECT_EQ(m.completed.size(), 6u);
+}
+
+/// Without telemetry nothing rebinds a policy's audit log: a cell keeps
+/// recording into the log its caller attached.
+TEST(Sharding, CallerAuditLogSurvivesWithoutTelemetry) {
+  const auto& store = runner().profiles(2024);
+  exp::ExperimentConfig c;
+  c.app = "wl1";
+  c.trace.duration = 60.0;
+  const apps::App app = exp::resolve_app(c);
+  const workload::Trace trace = exp::build_trace(c, app);
+
+  obs::AuditLog audit;
+  baselines::PolicySettings settings;
+  settings.use_lstm = false;
+  settings.pool = runner().policy_pool();
+  settings.audit = &audit;
+  std::vector<baselines::ColocatedApp> cell;
+  cell.push_back(
+      {app, &trace, baselines::make_policy(baselines::PolicyKind::Smiless, app, store, settings)});
+  baselines::ExperimentOptions options;
+  ASSERT_EQ(options.telemetry, nullptr);
+  (void)baselines::run_colocated(std::move(cell), options);
+
+  EXPECT_GT(audit.solver_calls(), 0u);
+  EXPECT_FALSE(audit.records().empty());
+}
+
+/// A driver paces one lane; a cell that populates several refuses it and
+/// says how many it populates.
+TEST(Sharding, DriverNeedsASinglePopulatedLane) {
+  const auto& store = runner().profiles(2024);
+  const Deployment dep(30.0);
+  std::set<int> populated;
+  for (std::size_t g = 0; g < dep.apps.size(); ++g)
+    populated.insert(serverless::ShardedPlatform::lane_for(g, 4));
+  ASSERT_GT(populated.size(), 1u);
+
+  sim::ImmediateClock clock;
+  rt::RealTimeDriver driver(&clock);
+  baselines::ExperimentOptions options = sharded_options(nullptr, 4, 1);
+  options.driver = &driver;
+  try {
+    (void)baselines::run_colocated(dep.colocated(store), options);
+    FAIL() << "a multi-lane cell accepted a driver";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("populates " + std::to_string(populated.size())),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_EQ(mono.submitted, 6);
-  EXPECT_EQ(mono.completed, 6);
 }
 
 /// The partition itself is a pure function: stable across calls, total over

@@ -337,13 +337,16 @@ for c in series["cells"]:
         assert len(fn["queue_depth"]) == bins, "function track length != bins"
 
 # Self-profile: every cell rooted, exclusive coverage >= 90% of measured
-# wall, counter samples present, perfetto events alongside.
+# wall and never above it (lanes on the cell's own thread nest in its
+# scopes, so no interval is timed twice), counter samples present, perfetto
+# events alongside.
 prof = json.load(open(f"{d}/profile4.json"))
 assert prof["cells"], "no profile cells"
 for c in prof["cells"]:
     p = c["profile"]
     assert p["total_ms"] > 0, "unrooted profile"
     assert p["coverage"] >= 0.9, f"profile coverage {p['coverage']} < 0.9"
+    assert p["coverage"] <= 1.0 + 1e-9, f"profile coverage {p['coverage']} > 1"
     names = {s["site"] for s in p["sites"] if s["count"] > 0}
     assert {"engine/run", "scheduler/dispatch"} <= names, \
         f"core sites missing: {names}"

@@ -24,7 +24,7 @@
 //     --sla <seconds>       end-to-end SLA target (default 2.0)
 //     --seed <n>            RNG seed for trace + simulation (default 42)
 //     --lanes <k>           shard the cell into k deterministic lanes
-//                           (default 1 = monolithic; see DESIGN.md §14)
+//                           (default 1; see DESIGN.md §14)
 //     --lane-threads <n>    threads stepping the lanes (0 = hardware,
 //                           1 = serial; wall-clock only, never results)
 //     --no-lstm             use lightweight statistical predictors
@@ -53,7 +53,7 @@
 //     --profile-out <file>  runtime self-profiler JSON (wall-clock scope
 //                           breakdown + sampled internal counters)
 //     --internal-stats      mirror calendar-queue internals into metrics-out
-//                           (path-revealing: monolithic vs sharded differ)
+//                           (queue sizing: serve and DES runs differ)
 //
 //   Fault injection (all off by default; see DESIGN.md "Failure model"):
 //     --fault-init-p <p>        container init failure probability
@@ -71,6 +71,7 @@
 //   smiless_sim --config run.json
 //   smiless_sim --sweep grid.json --threads 8 --out results.json
 //   smiless_sim --policy all --fault-init-p 0.05 --fault-crash 2@120:60
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -458,25 +459,12 @@ int main(int argc, char** argv) {
 
   if (cli.slow > 0) {
     // Re-run the first policy with tracing to show the slowest requests.
-    auto traced = cells_cfg.front();
+    exp::ExperimentConfig traced = cells_cfg.front();
     traced.platform.record_traces = true;
-    sim::Engine engine;
-    cluster::Cluster cluster = cluster::Cluster::paper_testbed();
-    Rng rng(traced.seed);
-    serverless::PlatformOptions popt = traced.platform;
-    serverless::Platform platform(engine, cluster, perf::Pricing{}, rng, popt);
-    baselines::PolicySettings settings;
-    settings.use_lstm = traced.use_lstm;
-    settings.pool = runner.policy_pool();
-    settings.oracle_trace = &trace;
-    const auto kind = *baselines::parse_policy_kind(traced.policy);
-    const auto id = platform.deploy(
-        app, baselines::make_policy(kind, app, runner.profiles(traced.profile_seed), settings));
-    for (SimTime t : trace.arrivals) platform.submit_request(id, t);
-    const double end = static_cast<double>(trace.counts.size()) + 120.0;
-    engine.run_until(end);
-    platform.finalize(end);
-    auto traces = platform.metrics(id).traces;
+    traced.obs = {};
+    auto traces = exp::Runner::run_cell(traced, runner.profiles(traced.profile_seed),
+                                        runner.policy_pool(), cli.runner.lane_threads)
+                      .result.traces;
     std::sort(traces.begin(), traces.end(),
               [](const auto& a, const auto& b) { return a.e2e() > b.e2e(); });
     std::cout << "\n=== " << cli.slow << " slowest requests ===\n";
