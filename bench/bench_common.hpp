@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -48,8 +49,8 @@ inline bool consume_shared_flag(int argc, char** argv, int& i) {
   };
   if (!std::strcmp(argv[i], "--duration")) {
     bench_args().duration = std::atof(value("--duration"));
-    if (bench_args().duration <= 0.0) {
-      std::cerr << argv[0] << ": --duration must be > 0\n";
+    if (!std::isfinite(bench_args().duration) || bench_args().duration <= 0.0) {
+      std::cerr << argv[0] << ": --duration must be finite and > 0\n";
       std::exit(2);
     }
     return true;

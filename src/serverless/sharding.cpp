@@ -15,7 +15,6 @@
 #include "obs/telemetry.hpp"
 #include "prof/profiler.hpp"
 #include "serverless/arrival_source.hpp"
-#include "sim/lane_engine.hpp"
 
 namespace smiless::serverless {
 
@@ -25,7 +24,7 @@ namespace smiless::serverless {
 /// consumes the cell seed's stream exactly as every golden pinned it.
 struct ShardedPlatform::Lane {
   int id;
-  sim::LaneEngine engine;
+  sim::Engine engine;
   cluster::Cluster cluster;
   int machine_base;
   Rng rng;
@@ -43,7 +42,6 @@ struct ShardedPlatform::Lane {
   Lane(int lane_id, std::size_t machines, cluster::MachineSpec spec, int base,
        std::uint64_t seed, faults::FaultSpec fspec)
       : id(lane_id),
-        engine(lane_id),
         cluster(machines, spec),
         machine_base(base),
         rng(seed),
@@ -127,7 +125,7 @@ void ShardedPlatform::build_lanes() {
     if (options_.prof != nullptr) {
       lane->prof = std::make_unique<prof::Profiler>(lane_id);
       lane->prof->nest_in(options_.prof);  // deploy and finalize run on this thread
-      lane->engine.engine().set_profiler(lane->prof.get());
+      lane->engine.set_profiler(lane->prof.get());
     }
     PlatformOptions popt = options_.platform;
     popt.lane = lane_id;
@@ -135,11 +133,11 @@ void ShardedPlatform::build_lanes() {
     if (options_.telemetry != nullptr)
       popt.bus = merged ? &lane->bus : &options_.telemetry->bus();
     popt.prof = lane->prof.get();
-    lane->platform = std::make_unique<Platform>(lane->engine.engine(), lane->cluster,
+    lane->platform = std::make_unique<Platform>(lane->engine, lane->cluster,
                                                 options_.pricing, lane->rng, popt);
     lane->arrivals.emplace(*lane->platform);
     lane->injector.set_bus(popt.bus);
-    lane->injector.arm(lane->engine.engine(), lane->cluster);
+    lane->injector.arm(lane->engine, lane->cluster);
 
     for (std::size_t g : mine) refs_[g].lane_index = static_cast<int>(p);
     machine_base += static_cast<int>(n);
@@ -196,7 +194,7 @@ void ShardedPlatform::run(SimTime end, sim::Driver* driver) {
                       "a driver paces one populated lane; this cell populates "
                           << lanes_.size());
     Lane& lane = *lanes_.front();
-    driver->drive(lane.engine.engine(), &*lane.arrivals, end);
+    driver->drive(lane.engine, &*lane.arrivals, end);
   } else {
     step_windows(end);
   }
@@ -231,6 +229,7 @@ void ShardedPlatform::step_windows(SimTime end) {
     const std::size_t workers = std::min(want, lanes_.size());
     if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
   }
+  if (pool != nullptr) lane_threads_used_ = static_cast<int>(pool->thread_count());
   // Lanes stepped on worker threads overlap the coordinator's barrier wait
   // instead of nesting in it (and must not touch its frames).
   const auto nest_lanes = [&](prof::Profiler* host) {
@@ -256,7 +255,7 @@ void ShardedPlatform::step_windows(SimTime end) {
       } else {
         lane.arrivals->inject_before(step_end);
       }
-      lane.engine.step_to(step_end);
+      lane.engine.run_until(step_end);
     };
     {
       // The coordinator charges the whole window — i.e. the wait for the
@@ -307,12 +306,11 @@ sim::EngineStats ShardedPlatform::engine_stats() const {
 sim::CalendarStats ShardedPlatform::calendar_stats() const {
   sim::CalendarStats sum;
   for (const auto& lane : lanes_) {
-    const sim::CalendarStats* s = lane->engine.engine().calendar_stats();
-    if (s == nullptr) continue;
-    sum.resizes += s->resizes;
-    sum.direct_searches += s->direct_searches;
-    sum.buckets += s->buckets;
-    sum.peak_live += s->peak_live;
+    const sim::CalendarStats& s = lane->engine.calendar_stats();
+    sum.resizes += s.resizes;
+    sum.direct_searches += s.direct_searches;
+    sum.buckets += s.buckets;
+    sum.peak_live += s.peak_live;
   }
   return sum;
 }

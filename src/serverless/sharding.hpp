@@ -139,6 +139,9 @@ class ShardedPlatform {
   sim::CalendarStats calendar_stats() const;
 
   int populated_lanes() const;
+  /// Threads that stepped the lanes: the lane pool's size, or 1 when they
+  /// were stepped on the calling thread (or paced by a driver).
+  int lane_threads_used() const { return lane_threads_used_; }
   const ShardOptions& options() const { return options_; }
 
  private:
@@ -165,6 +168,7 @@ class ShardedPlatform {
   std::vector<AppRef> refs_;
   std::vector<obs::LaneTelemetry> streams_;  ///< the lanes' logs, when collecting
   bool ran_ = false;
+  int lane_threads_used_ = 1;
 };
 
 }  // namespace smiless::serverless

@@ -22,6 +22,8 @@ std::vector<double> Trace::counts_as_double() const {
 }
 
 Trace generate_trace(const TraceOptions& o, Rng& rng) {
+  // Finite, or the window count below is an out-of-range cast.
+  SMILESS_CHECK(std::isfinite(o.duration) && std::isfinite(o.window));
   SMILESS_CHECK(o.duration > 0.0 && o.window > 0.0 && o.mean_rate >= 0.0);
   Trace trace;
   trace.window = o.window;
@@ -89,6 +91,7 @@ TraceOptions preset_for_workload(const std::string& workload_name, double durati
 }
 
 Trace generate_burst_window(double quiet_rate, double peak_rate, Rng& rng, double duration) {
+  SMILESS_CHECK(std::isfinite(duration));
   SMILESS_CHECK(duration > 0.0 && quiet_rate >= 0.0 && peak_rate >= quiet_rate);
   Trace trace;
   trace.window = 1.0;
@@ -114,6 +117,7 @@ Trace generate_burst_window(double quiet_rate, double peak_rate, Rng& rng, doubl
 }
 
 Trace generate_regular_trace(double interval, double jitter_frac, double duration, Rng& rng) {
+  SMILESS_CHECK(std::isfinite(duration));
   SMILESS_CHECK(interval > 0.0 && jitter_frac >= 0.0 && duration > interval);
   Trace trace;
   trace.window = 1.0;

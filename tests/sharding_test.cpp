@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -325,6 +326,31 @@ TEST(Sharding, DriverNeedsASinglePopulatedLane) {
     EXPECT_NE(std::string(e.what()).find("populates " + std::to_string(populated.size())),
               std::string::npos)
         << e.what();
+  }
+}
+
+/// A policy that deploys and never plans: enough to populate lanes.
+class Idle final : public serverless::Policy {
+ public:
+  std::string name() const override { return "idle"; }
+  void on_deploy(serverless::AppId, const apps::App&, serverless::PlatformView&) override {}
+};
+
+/// lane_threads_used() is the pool that stepped the lanes (capped at the
+/// populated lanes), or 1 when they were stepped on the calling thread.
+TEST(Sharding, LaneThreadsUsedIsThePoolThatSteppedTheLanes) {
+  for (const auto& [lane_threads, expected] :
+       {std::pair{1, 1}, std::pair{2, 2}, std::pair{8, 4}}) {
+    serverless::ShardOptions so;
+    so.lanes = 4;
+    so.lane_threads = lane_threads;
+    so.machines = 8;
+    serverless::ShardedPlatform sharded(so);
+    for (int i = 0; i < 16; ++i)
+      sharded.add_app(apps::make_synthetic_pipeline(2, 2.0), std::make_shared<Idle>(), {});
+    sharded.run(3.0);
+    ASSERT_EQ(sharded.populated_lanes(), 4);
+    EXPECT_EQ(sharded.lane_threads_used(), expected) << "lane_threads=" << lane_threads;
   }
 }
 

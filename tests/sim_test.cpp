@@ -5,33 +5,66 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sim/calendar_queue.hpp"
 #include "sim/clock.hpp"
 #include "sim/engine.hpp"
+#include "sim/reference_queue.hpp"
 
 namespace smiless::sim {
 namespace {
 
-class NextTime : public ::testing::TestWithParam<Engine::QueueImpl> {};
+// next_time() is a queue-level peek: both queues must honour it, and the
+// Engine forwards it.
+enum class QueueKind { Calendar, Reference };
+
+template <class Queue>
+void expect_peek_without_pop() {
+  Queue q;
+  EXPECT_TRUE(std::isinf(q.next_time()));
+  q.schedule(3.0, 1, [] {});
+  q.schedule(1.0, 2, [] {});
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);  // peek is repeatable
+  EXPECT_EQ(q.live(), 2u);               // nothing was popped
+
+  // Cancelling the head reclaims the tombstone; the peek moves on.
+  EXPECT_TRUE(q.cancel(2));
+  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
+  SimTime t = 0.0;
+  EventId id = 0;
+  std::function<void()> cb;
+  ASSERT_TRUE(q.pop_due(5.0, &t, &id, &cb));
+  EXPECT_EQ(id, 1u);
+  EXPECT_FALSE(q.pop_due(5.0, &t, &id, &cb));
+  EXPECT_TRUE(std::isinf(q.next_time()));
+}
+
+class NextTime : public ::testing::TestWithParam<QueueKind> {};
 
 TEST_P(NextTime, PeeksTheEarliestLiveEventWithoutPopping) {
-  Engine e(GetParam());
+  if (GetParam() == QueueKind::Calendar) {
+    expect_peek_without_pop<CalendarQueue>();
+  } else {
+    expect_peek_without_pop<ReferenceQueue>();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothQueues, NextTime,
+                         ::testing::Values(QueueKind::Calendar, QueueKind::Reference));
+
+TEST(Engine, NextTimePeeksTheEarliestLiveEventWithoutPopping) {
+  Engine e;
   EXPECT_TRUE(std::isinf(e.next_time()));
   e.schedule_at(3.0, [] {});
   const EventId first = e.schedule_at(1.0, [] {});
   EXPECT_DOUBLE_EQ(e.next_time(), 1.0);
-  EXPECT_DOUBLE_EQ(e.next_time(), 1.0);  // peek is repeatable
-  EXPECT_EQ(e.pending(), 2u);            // nothing was popped
-
-  // Cancelling the head reclaims the tombstone; the peek moves on.
+  EXPECT_DOUBLE_EQ(e.next_time(), 1.0);
+  EXPECT_EQ(e.pending(), 2u);
   EXPECT_TRUE(e.cancel(first));
   EXPECT_DOUBLE_EQ(e.next_time(), 3.0);
   e.run_until(5.0);
   EXPECT_TRUE(std::isinf(e.next_time()));
 }
-
-INSTANTIATE_TEST_SUITE_P(BothQueues, NextTime,
-                         ::testing::Values(Engine::QueueImpl::Calendar,
-                                           Engine::QueueImpl::BinaryHeap));
 
 TEST(ImmediateClock, NeverDelaysOrInterrupts) {
   ImmediateClock clock;

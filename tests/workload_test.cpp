@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "math/stats.hpp"
@@ -92,6 +93,21 @@ TEST(Trace, IdleGapsProduceZeroWindows) {
   const Trace t = generate_trace(o, rng);
   const auto zeros = std::count(t.counts.begin(), t.counts.end(), 0);
   EXPECT_GT(zeros, 100);
+}
+
+TEST(Trace, RejectsNonFiniteDurationAndWindow) {
+  Rng rng(12);
+  TraceOptions o;
+  o.duration = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(generate_trace(o, rng), CheckError);
+  o.duration = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(generate_trace(o, rng), CheckError);
+  o.duration = 60.0;
+  o.window = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(generate_trace(o, rng), CheckError);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(generate_burst_window(0.5, 12.0, rng, inf), CheckError);
+  EXPECT_THROW(generate_regular_trace(5.0, 0.05, inf, rng), CheckError);
 }
 
 TEST(Trace, PresetsDifferAcrossWorkloads) {

@@ -461,15 +461,26 @@ EOF
 }
 
 # Throughput-bench smoke: a shrunken version of the large BENCH_throughput
-# cell (bench/bench_throughput.cpp) must run end-to-end, keep both queue
-# impls on identical trajectories (the binary exits non-zero otherwise) and
-# emit an artifact with the pinned schema — same keys and types as the
-# full-size BENCH_throughput.json at the repo root.
+# cell (bench/bench_throughput.cpp) must run end-to-end, give identical
+# counts on every repeat of a lane count (the binary exits non-zero
+# otherwise), emit an artifact with the pinned schema — same keys and types
+# as the full-size BENCH_throughput.json at the repo root — and reject
+# malformed flag values with exit 2.
 bench_smoke() {
   echo "==== [bench] shrunken throughput cell + artifact schema ===="
-  local dir out
+  local dir out rc args
   dir="$(mktemp -d)"
   out="${dir}/BENCH_throughput.json"
+  for args in "--apps -1" "--apps abc" "--duration inf"; do
+    rc=0
+    # shellcheck disable=SC2086
+    "${prefix}/bench/bench_throughput" ${args} --out "${dir}/rejected.json" \
+        2> /dev/null || rc=$?
+    if [ "${rc}" -ne 2 ] || [ -e "${dir}/rejected.json" ]; then
+      echo "[bench] '${args}' exited ${rc}, expected 2 and no artifact" >&2
+      exit 1
+    fi
+  done
   "${prefix}/bench/bench_throughput" --apps 24 --machines 12 --duration 90 \
       --events 150000 --out "${out}" --report-out "${dir}/report.html"
   python3 - "${out}" "${dir}/report.html" <<'EOF'
@@ -484,25 +495,22 @@ def require(obj, key, types, path):
 
 num = (int, float)
 assert doc["bench"] == "throughput", "wrong bench tag"
+host = require(doc, "host", dict, "$")
+require(host, "nproc", int, "host")
+for k in ("cpu_model", "compiler", "build_type", "git_sha"):
+    require(host, k, str, "host")
 cfg = require(doc, "config", dict, "$")
-for k in ("apps", "machines", "nodes_per_app", "seed", "micro_events", "micro_live"):
+for k in ("apps", "machines", "nodes_per_app", "seed", "repeats", "micro_events",
+          "micro_live"):
     require(cfg, k, int, "config")
 require(cfg, "trace_duration_s", num, "config")
 det = require(doc, "deterministic", dict, "$")
 for k in ("arrivals_total", "requests_submitted", "requests_completed",
           "events_scheduled", "events_fired", "events_cancelled"):
     require(det, k, int, "deterministic")
-assert require(det, "identical_across_impls", bool, "deterministic") is True
 assert det["events_fired"] + det["events_cancelled"] <= det["events_scheduled"], \
     "event accounting broken"
 assert det["requests_completed"] <= det["requests_submitted"], "completion accounting broken"
-for impl in ("calendar", "binary_heap"):
-    sec = require(doc, impl, dict, "$")
-    for k in ("wall_seconds", "events_per_sec", "peak_rss_mb"):
-        require(sec, k, num, impl)
-cs = require(doc["calendar"], "calendar_stats", dict, "calendar")
-for k in ("resizes", "direct_searches", "buckets", "peak_live"):
-    require(cs, k, int, "calendar_stats")
 micro = require(doc, "micro", dict, "$")
 for impl in ("calendar", "binary_heap"):
     sec = require(micro, impl, dict, "micro")
@@ -513,50 +521,60 @@ require(micro, "speedup", num, "micro")
 sh = require(doc, "sharded", dict, "$")
 require(sh, "lane_threads", int, "sharded")
 require(sh, "note", str, "sharded")
-require(sh, "speedup_lanes8_vs_monolithic", num, "sharded")
 rows = require(sh, "lanes", list, "sharded")
 assert [r["lanes"] for r in rows] == [1, 2, 4, 8], "sharded lane axis wrong"
 for r in rows:
-    for k in ("events_scheduled", "events_fired", "events_cancelled",
+    for k in ("lane_threads", "events_scheduled", "events_fired", "events_cancelled",
               "requests_completed"):
         require(r, k, int, "sharded.lanes[]")
-    for k in ("wall_seconds", "events_per_sec", "peak_rss_mb"):
+    for k in ("events_per_sec", "req_per_s", "peak_rss_mb", "parallel_efficiency",
+              "lane_imbalance"):
         require(r, k, num, "sharded.lanes[]")
+    wall = require(r, "wall_seconds", dict, "sharded.lanes[]")
+    for k in ("median", "min", "max"):
+        require(wall, k, num, "sharded.lanes[].wall_seconds")
+    assert wall["min"] <= wall["median"] <= wall["max"], "wall spread out of order"
+    assert 0.0 < r["parallel_efficiency"] <= 1.0 + 1e-9, \
+        f"lanes={r['lanes']}: parallel efficiency {r['parallel_efficiency']}"
+    assert r["lane_imbalance"] >= 1.0 - 1e-9, \
+        f"lanes={r['lanes']}: lane imbalance {r['lane_imbalance']} < 1"
+    cs = require(r, "calendar_stats", dict, "sharded.lanes[]")
+    for k in ("resizes", "direct_searches", "buckets", "peak_live"):
+        require(cs, k, int, "sharded.lanes[].calendar_stats")
 assert rows[0]["events_fired"] == det["events_fired"], \
-    "lanes=1 diverged from the monolithic trajectory"
-require(doc, "e2e_speedup", num, "$")
+    "deterministic section is not the lanes=1 row"
 require(doc, "peak_rss_mb", num, "$")
+require(doc, "history", list, "$")
 
-# Self-profiler section: the root scope brackets each measured cell, so the
-# exclusive times must cover >= 90% of the measured wall time (monolithic
-# cells hit exactly 1.0; sharded cells may exceed it — lane wall time on
-# worker threads overlaps the coordinator's barrier wait).
-pr = require(doc, "profile", dict, "$")
-assert require(pr, "coverage", num, "profile") >= 0.9, \
-    f"profile coverage {pr['coverage']} < 0.9"
-for impl in ("calendar", "binary_heap"):
-    sec = require(pr, impl, dict, "profile")
-    require(sec, "total_ms", num, f"profile.{impl}")
-    sites = require(sec, "sites", list, f"profile.{impl}")
-    assert any(s["count"] > 0 for s in sites), f"profile.{impl}: no active sites"
-    assert sec["coverage"] >= 0.9, f"profile.{impl} coverage < 0.9"
-shp = require(pr, "sharded", list, "profile")
-assert [r["lanes"] for r in shp] == [1, 2, 4, 8], "profile sharded axis wrong"
+# Self-profiler section, one profiled run per lane count. Coverage (sum of
+# exclusive times over the root) is reported only for serially stepped rows,
+# where the root scope brackets everything and it must be within [0.9, 1.0].
+pr = require(doc, "profile", list, "$")
+assert [p["lanes"] for p in pr] == [1, 2, 4, 8], "profile lane axis wrong"
+for p, r in zip(pr, rows):
+    require(p, "total_ms", num, "profile[]")
+    sites = require(p, "sites", list, "profile[]")
+    assert any(s["count"] > 0 for s in sites), f"profile lanes={p['lanes']}: no active sites"
+    if r["lane_threads"] == 1:
+        cov = require(p, "coverage", num, "profile[]")
+        assert 0.9 <= cov <= 1.0 + 1e-9, f"profile lanes={p['lanes']} coverage {cov}"
+    else:
+        assert "coverage" not in p, f"profile lanes={p['lanes']}: pooled coverage reported"
+assert "coverage" in pr[0], "lanes=1 is stepped serially and must report coverage"
 
-# The --report-out HTML: standalone, with one profile cell per measurement.
+# The --report-out HTML: standalone, with one profile cell per lane count.
 html = open(sys.argv[2], encoding="utf-8").read()
 assert html.startswith("<!doctype html>"), "bench report not an HTML document"
 open_tag = '<script type="application/json" id="data">'
 a = html.index(open_tag) + len(open_tag)
 b = html.index("</script>", a)
 payload = json.loads(html[a:b].replace("<\\/", "</"))
-assert len(payload["cells"]) == 2 + len(shp), "bench report cell count wrong"
+assert len(payload["cells"]) == len(pr) == 4, "bench report cell count wrong"
 assert all("profile" in c for c in payload["cells"]), "report cell lacks profile"
 
 print(f"[bench] schema OK; micro speedup {micro['speedup']:.2f}x,"
-      f" e2e {doc['e2e_speedup']:.2f}x,"
       f" {det['events_fired']} events fired,"
-      f" profile coverage {pr['coverage']:.3f}")
+      f" lanes=1 coverage {pr[0]['coverage']:.3f}")
 EOF
   rm -rf "${dir}"
   echo "[bench] throughput smoke green"
