@@ -4,8 +4,9 @@
 // lanes 1/2/4/8, plus a pure-queue hold-model microbench that drives the
 // calendar queue and its binary-heap + std::map reference directly, to
 // isolate the data structure from platform work. Records events/s,
-// requests/s, wall-time spread, peak RSS, EngineStats, CalendarStats and
-// lane balance into BENCH_throughput.json (see DESIGN.md §13–14).
+// requests/s, wall-time spread, peak RSS, EngineStats, CalendarStats, lane
+// balance and a per-structure memory breakdown into BENCH_throughput.json
+// (see DESIGN.md §13–14).
 //
 // Each lane count runs kRepeats timed repeats with the self-profiler
 // detached (the headline: median, min and max wall time), then one profiled
@@ -174,6 +175,12 @@ struct CellRun {
   double lane_busy_ms = 0.0;       ///< Σ LaneStep over lanes
   double lane_busy_peak_ms = 0.0;  ///< max LaneStep of one lane
   int lanes_profiled = 0;
+  // Footprints of the structures that grow with the request count, from
+  // container sizes and capacities (identical on every run of a lane count).
+  serverless::TrackerMemory tracker;
+  std::uint64_t completed_bytes = 0;  ///< AppMetrics::completed records
+  std::uint64_t billing_bytes = 0;    ///< the ledgers' BillingRecords
+  std::uint64_t arrival_bytes = 0;    ///< the bench's traces + each lane's copy
 
   /// The trajectory's counts: scheduled/fired/cancelled events, completed
   /// requests.
@@ -211,15 +218,22 @@ CellRun run_sharded(int lanes, int lane_threads, bool profiled, const CellConfig
       sharded.add_app(std::move(app), std::make_shared<KeepWarmPolicy>(),
                       traces[i].arrivals);
       r.submitted += static_cast<long long>(traces[i].arrivals.size());
+      r.arrival_bytes += (traces[i].arrivals.capacity() + traces[i].arrivals.size()) *
+                         sizeof(SimTime);
       horizon = std::max(horizon,
                          static_cast<double>(traces[i].counts.size()) * traces[i].window);
     }
     const double t_run = now_seconds();
     sharded.run(horizon + 120.0);
     r.run_call_seconds = now_seconds() - t_run;
-    for (std::size_t i = 0; i < cc.apps; ++i)
-      r.completed +=
-          static_cast<long long>(sharded.metrics(static_cast<int>(i)).completed.size());
+    for (std::size_t i = 0; i < cc.apps; ++i) {
+      const auto& completed = sharded.metrics(static_cast<int>(i)).completed;
+      r.completed += static_cast<long long>(completed.size());
+      r.completed_bytes += completed.size() * sizeof(serverless::RequestRecord);
+      r.billing_bytes += sharded.billing(static_cast<int>(i)).size() *
+                         sizeof(serverless::Ledger::BillingRecord);
+    }
+    r.tracker = sharded.tracker_memory();
   }
 
   r.wall_seconds = now_seconds() - t0;
@@ -310,6 +324,19 @@ json::Value micro_json(const Micro& m) {
   v["wall_seconds"] = m.wall_seconds;
   v["events_per_sec"] = m.events_per_sec;
   return v;
+}
+
+json::Value memory_json(const CellRun& r) {
+  json::Value m = json::Value::object();
+  m["tracker_bytes"] = static_cast<std::uint64_t>(r.tracker.bytes());
+  m["tracker_slot_bytes"] = static_cast<std::uint64_t>(r.tracker.slot_bytes);
+  m["tracker_node_bytes"] = static_cast<std::uint64_t>(r.tracker.node_bytes);
+  m["tracker_index_bytes"] = static_cast<std::uint64_t>(r.tracker.index_bytes);
+  m["tracker_peak_live_slots"] = static_cast<std::uint64_t>(r.tracker.peak_live_slots);
+  m["completed_record_bytes"] = r.completed_bytes;
+  m["billing_record_bytes"] = r.billing_bytes;
+  m["arrival_bytes"] = r.arrival_bytes;
+  return m;
 }
 
 json::Value calendar_json(const sim::CalendarStats& cal) {
@@ -541,6 +568,7 @@ int main(int argc, char** argv) {
       v["events_cancelled"] = p.cancelled;
       v["requests_completed"] = p.completed;
       v["calendar_stats"] = calendar_json(p.cal);
+      v["memory"] = memory_json(p);
       // perfbench's shard.* definitions, over the profiled run's run call.
       v["parallel_efficiency"] =
           p.run_call_seconds > 0.0

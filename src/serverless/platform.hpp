@@ -190,6 +190,8 @@ class Platform {
 
   /// The platform's books: per-instance BillingRecords and metrics.
   const Ledger& ledger() const { return ledger_; }
+  /// Footprint of the request tracker's live slots and id index.
+  TrackerMemory tracker_memory() const { return tracker_.memory(); }
 
  private:
   sim::Engine& engine_;

@@ -292,6 +292,19 @@ const AppMetrics& ShardedPlatform::metrics(int app) const {
   return lanes_[static_cast<std::size_t>(r.lane_index)]->platform->metrics(r.local);
 }
 
+const std::vector<Ledger::BillingRecord>& ShardedPlatform::billing(int app) const {
+  SMILESS_CHECK_MSG(ran_, "billing before run()");
+  SMILESS_CHECK(app >= 0 && static_cast<std::size_t>(app) < refs_.size());
+  const AppRef& r = refs_[static_cast<std::size_t>(app)];
+  return lanes_[static_cast<std::size_t>(r.lane_index)]->platform->ledger().billing(r.local);
+}
+
+TrackerMemory ShardedPlatform::tracker_memory() const {
+  TrackerMemory sum;
+  for (const auto& lane : lanes_) sum += lane->platform->tracker_memory();
+  return sum;
+}
+
 sim::EngineStats ShardedPlatform::engine_stats() const {
   sim::EngineStats sum;
   for (const auto& lane : lanes_) {

@@ -125,6 +125,10 @@ class ShardedPlatform {
   // --- the merged books (valid after run()) --------------------------------
 
   const AppMetrics& metrics(int app) const;
+  /// The app's per-instance billing records.
+  const std::vector<Ledger::BillingRecord>& billing(int app) const;
+  /// Request-tracker footprints summed over lanes.
+  TrackerMemory tracker_memory() const;
   /// Engine counters summed over lanes.
   sim::EngineStats engine_stats() const;
   /// Injector counters summed over lanes.

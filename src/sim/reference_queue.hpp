@@ -15,11 +15,12 @@ namespace smiless::sim {
 /// The pre-calendar event queue, kept verbatim as the executable
 /// specification of the Engine's ordering contract: a binary heap of
 /// (time, id) keys shadowed by a `std::map<EventId, Callback>` whose
-/// presence marks an event live. The differential fuzz harness
+/// presence marks an event live. The Engine does not use it: it owns only
+/// the CalendarQueue. The differential fuzz harness
 /// (tests/calendar_queue_test.cpp) drives this model and the CalendarQueue
-/// side by side and demands identical firing orders, clocks and stats; the
-/// throughput bench runs the same large cell on both to measure the
-/// calendar's speedup. Engine selects it via Engine::QueueImpl::BinaryHeap.
+/// side by side at queue level and demands identical firing orders, clocks
+/// and stats; tests/sim_test.cpp checks it directly, and the throughput
+/// bench's hold-model microbench times both queues without an Engine.
 class ReferenceQueue {
  public:
   using Callback = std::function<void()>;

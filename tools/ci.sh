@@ -464,8 +464,8 @@ EOF
 # cell (bench/bench_throughput.cpp) must run end-to-end, give identical
 # counts on every repeat of a lane count (the binary exits non-zero
 # otherwise), emit an artifact with the pinned schema — same keys and types
-# as the full-size BENCH_throughput.json at the repo root — and reject
-# malformed flag values with exit 2.
+# as the full-size BENCH_throughput.json at the repo root, including each
+# lane row's memory block — and reject malformed flag values with exit 2.
 bench_smoke() {
   echo "==== [bench] shrunken throughput cell + artifact schema ===="
   local dir out rc args
@@ -541,6 +541,20 @@ for r in rows:
     cs = require(r, "calendar_stats", dict, "sharded.lanes[]")
     for k in ("resizes", "direct_searches", "buckets", "peak_live"):
         require(cs, k, int, "sharded.lanes[].calendar_stats")
+    # Per-structure footprints. The tracker holds only live requests, so its
+    # slot pool must stay below the number of requests that went through it.
+    mem = require(r, "memory", dict, "sharded.lanes[]")
+    for k in ("tracker_bytes", "tracker_slot_bytes", "tracker_node_bytes",
+              "tracker_index_bytes", "tracker_peak_live_slots", "completed_record_bytes",
+              "billing_record_bytes", "arrival_bytes"):
+        require(mem, k, int, "sharded.lanes[].memory")
+    assert mem["tracker_bytes"] > 0, f"lanes={r['lanes']}: tracker bytes not accounted"
+    assert mem["tracker_bytes"] == (mem["tracker_slot_bytes"] + mem["tracker_node_bytes"]
+                                    + mem["tracker_index_bytes"]), \
+        f"lanes={r['lanes']}: tracker bytes do not add up"
+    assert mem["tracker_peak_live_slots"] < r["requests_completed"], \
+        (f"lanes={r['lanes']}: {mem['tracker_peak_live_slots']} peak live slots for"
+         f" {r['requests_completed']} completed requests")
 assert rows[0]["events_fired"] == det["events_fired"], \
     "deterministic section is not the lanes=1 row"
 require(doc, "peak_rss_mb", num, "$")
